@@ -98,14 +98,18 @@ def dumps_canonical(doc: dict) -> str:
                       allow_nan=False) + "\n"
 
 
-def write_atomic(path: str, doc: dict) -> None:
-    """Write-temp-then-rename so concurrent runs never see partial output."""
-    payload = dumps_canonical(doc)
+def write_atomic(path: str, payload: str) -> None:
+    """Write-temp-then-rename so concurrent runs never see partial output.
+
+    The file gets the mode ``open(path, "w")`` would give it, 0o666 less
+    the umask, not the 0o600 that mkstemp creates the temporary with.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seqlab-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(payload)
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -113,6 +117,15 @@ def write_atomic(path: str, doc: dict) -> None:
         except OSError:
             pass
         raise
+
+
+def _umask() -> int:
+    """The process umask.  It can only be read by setting it, so for the
+    moment between the two calls it is 0o077: a file another thread
+    creates then is private, as mkstemp would make it, never wider."""
+    mask = os.umask(0o077)
+    os.umask(mask)
+    return mask
 
 
 def load_certificate(path: str) -> dict:

@@ -83,7 +83,7 @@ def _emit(doc: dict, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(payload)
     else:
-        certificates.write_atomic(out, doc)
+        certificates.write_atomic(out, payload)
 
 
 def _doc_exit(doc: dict) -> int:

@@ -16,6 +16,7 @@ pure, so callers may share objects freely across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -300,6 +301,70 @@ def combine(basis: Sequence[Seq], coeffs: Sequence[Scalar]) -> Seq:
         acc = [float(v) for v in acc]
         tail = float(tail)
     return Seq(tuple(acc), exact, tail)
+
+
+# ---------------------------------------------------------------------------
+# Exact scans
+#
+# A scan reads one number from each combination (an argmax, a sign, a sup,
+# a ratio) and then drops it.  In exact mode it runs on integer numerators
+# over one common denominator instead of Fractions; only the vectors a
+# construction keeps are built as Seqs.
+# ---------------------------------------------------------------------------
+
+def scan_rows(family: Sequence[Seq]) -> tuple[list, int]:
+    """The coordinates of family as scan rows, plus their denominator D.
+
+    Exact mode: integer numerators over one common denominator, so that
+    ``family[i].at(j) == rows[i][j - 1] / D``.  Float mode: the
+    coordinates unchanged, with D = 1.  Tail bounds are not carried.
+    """
+    if not all(f.exact for f in family):
+        return [list(f.coords) for f in family], 1
+    denom = math.lcm(*(v.denominator for f in family for v in f.coords))
+    rows = [[v.numerator * (denom // v.denominator) for v in f.coords]
+            for f in family]
+    return rows, denom
+
+
+def _running_sums(rows: Sequence[list], coeffs: Sequence[Scalar]):
+    """Yield the running row after each term of sum(c_i * row_i).
+
+    Fraction coefficients are first multiplied by the least common
+    multiple E of their denominators, so integer rows stay integer and
+    every yielded row is E times the true partial sum (E = 1 for int and
+    float coefficients).  Terms are added in combine's order and zero
+    coefficients are skipped, so float rows give combine's bits.
+    """
+    if len(rows) != len(coeffs):
+        raise LengthMismatch(f"{len(rows)} rows vs {len(coeffs)} coefficients")
+    if not rows:
+        raise ConfigError("scan: empty family")
+    if any(isinstance(c, Fraction) for c in coeffs):
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        coeffs = [c.numerator * (scale // c.denominator) for c in coeffs]
+    acc = [0.0 if isinstance(rows[0][0], float) else 0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [a + c * v for a, v in zip(acc, row)]
+        yield acc
+
+
+def scan_combine(rows: Sequence[list], coeffs: Sequence[Scalar]) -> list:
+    """A positive multiple of sum(c_i * row_i) over scan rows.
+
+    The multiple keeps argmax, signs, zero tests and ratios of sups; it
+    is exactly the sum for int or float coefficients (see _running_sums).
+    """
+    for acc in _running_sums(rows, coeffs):
+        pass
+    return acc
+
+
+def scan_prefix_sups(rows: Sequence[list], coeffs: Sequence[Scalar]) -> list:
+    """max |sum_{i<=k} c_i row_i| for every prefix k, all scaled by one
+    common positive multiple (exactly 1 for int or float coefficients)."""
+    return [max(map(abs, acc)) for acc in _running_sums(rows, coeffs)]
 
 
 @dataclass(frozen=True)

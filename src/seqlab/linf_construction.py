@@ -13,6 +13,11 @@ the explicit failure mode when no bucket captures enough indices.
 Norming functionals in the sup norm are realized as signed coordinate
 evaluations at a maximal coordinate, so each net point contributes one
 zeroed coordinate to the shrinking working subspace.
+
+Scans that read one number from each combination and drop it (the net,
+the ratio ascent, the sampled basis inequality) run in exact mode on
+integer numerators over one common denominator (``core.scan_rows``);
+only the vectors a construction keeps become Fractions.
 """
 from __future__ import annotations
 
@@ -24,7 +29,16 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .certificates import Check, checks_status, make_check
-from .core import AmbientSpace, Seq, Subspace, combine, norm
+from .core import (
+    AmbientSpace,
+    Seq,
+    Subspace,
+    combine,
+    norm,
+    scan_combine,
+    scan_prefix_sups,
+    scan_rows,
+)
 from .errors import (
     CaseBoundViolated,
     ConfigError,
@@ -247,43 +261,64 @@ def _constrained_basis(subspace: Subspace, constraints: Sequence[int], tol):
     return out, tuple(pc + 1 for pc in pivots)
 
 
-def _ratio_at(f: Seq, s: int) -> Scalar:
-    sup = _sup(f)
+def _scan_ratio(y: list, s: int, exact: bool) -> Scalar:
+    """|f(s)| / |f|_inf read off a scan row y of f (any positive multiple)."""
+    sup = max(map(abs, y))
     if sup == 0:
-        return Fraction(0) if f.exact else 0.0
-    return abs(f.at(s)) / sup
+        return Fraction(0) if exact else 0.0
+    return Fraction(abs(y[s - 1]), sup) if exact else abs(y[s - 1]) / sup
 
 
 def _ascend_ratio(w_basis: Sequence[Seq], s: int, exact: bool,
                   passes: int = 2) -> tuple:
     """Deterministic grid/coordinate ascent for max |f(s)| / |f|_inf over
-    the span of w_basis.  Returns (best_ratio, best_vector)."""
+    the span of w_basis.  Returns (best_ratio, best_vector).
+
+    Every candidate is best + (n/4) w_i.  The search keeps only its scan
+    row: y + (n/4) R_i in float mode and, in exact mode, 4 y + n q R_i
+    for y = q D best (q a power of 4).  The winner is then rebuilt by
+    replaying its steps with Seq.add and Seq.scale, so its coordinates
+    and tail bound are what those operations give.
+    """
+    rows, _ = scan_rows(w_basis)
+
+    def step(y, q, i, n):
+        if exact:
+            return scan_combine([y, rows[i]], [4, n * q]), 4 * q
+        return scan_combine([y, rows[i]], [1, n / 4.0]), 1
+
     ranked = sorted(range(len(w_basis)),
                     key=lambda i: (-abs(float(w_basis[i].at(s))), i))
-    best_vec = w_basis[ranked[0]]
-    best = _ratio_at(best_vec, s)
-    grid = [Fraction(n, 4) if exact else n / 4.0
-            for n in (-4, -3, -2, -1, 1, 2, 3, 4)]
+    ticks = (-4, -3, -2, -1, 1, 2, 3, 4)
+    base, path = ranked[0], ()
+    best_y, best_q = rows[base], 1
+    best = _scan_ratio(best_y, s, exact)
     # pairwise combinations among the most s-active directions
     for a_pos in range(min(3, len(ranked))):
         for b_pos in range(a_pos + 1, min(4, len(ranked))):
-            va, vb = w_basis[ranked[a_pos]], w_basis[ranked[b_pos]]
-            for tstep in grid:
-                cand = va.add(vb.scale(tstep))
-                r = _ratio_at(cand, s)
+            ia, ib = ranked[a_pos], ranked[b_pos]
+            for n in ticks:
+                y, q = step(rows[ia], 1, ib, n)
+                r = _scan_ratio(y, s, exact)
                 if r > best:
-                    best, best_vec = r, cand
+                    best, best_y, best_q = r, y, q
+                    base, path = ia, ((ib, n),)
     for _ in range(passes):
         improved = False
         for i in range(len(w_basis)):
-            for tstep in grid:
-                cand = best_vec.add(w_basis[i].scale(tstep))
-                r = _ratio_at(cand, s)
+            for n in ticks:
+                y, q = step(best_y, best_q, i, n)
+                r = _scan_ratio(y, s, exact)
                 if r > best:
-                    best, best_vec = r, cand
+                    best, best_y, best_q = r, y, q
+                    path += ((i, n),)
                     improved = True
         if not improved:
             break
+    best_vec = w_basis[base]
+    for i, n in path:
+        best_vec = best_vec.add(
+            w_basis[i].scale(Fraction(n, 4) if exact else n / 4.0))
     return best, best_vec
 
 
@@ -294,27 +329,27 @@ def sample_basis_inequality(f_list: Sequence[Seq], eps_seq: Sequence,
     |sum^m a f| * prod_{i=n..m-1}(1+eps_i) - |sum^n a f|.
 
     Uses its own seeded rng (independent of construction draws) so a
-    verifier can regenerate the identical sample stream.
+    verifier can regenerate the identical sample stream.  Exact-mode
+    coefficients are k/16, so a prefix sup is max|Y| / (16 D) on the
+    scan rows.
     """
     rng = random.Random(seed ^ 0x5EED)
     one = Fraction(1) if exact else 1.0
     cumprod = [one]  # cumprod[i] = prod_{j<=i} (1+eps_j), 1-based eps
     for i in range(1, depth):
         cumprod.append(cumprod[-1] * (1 + eps_seq[i - 1]))
+    rows, denom = scan_rows(f_list[:depth])
     worst_by_pair: dict[tuple, Scalar] = {}
     for _ in range(samples):
         if exact:
-            coeffs = [Fraction(rng.randint(-16, 16), 16) for _ in range(depth)]
+            coeffs = [rng.randint(-16, 16) for _ in range(depth)]
         else:
             coeffs = [rng.uniform(-1.0, 1.0) for _ in range(depth)]
         if all(c == 0 for c in coeffs):
             continue
-        prefix_norms = []
-        acc = None
-        for k in range(depth):
-            term = f_list[k].scale(coeffs[k])
-            acc = term if acc is None else acc.add(term)
-            prefix_norms.append(_sup(acc))
+        prefix_norms = scan_prefix_sups(rows, coeffs)
+        if exact:
+            prefix_norms = [Fraction(v, 16 * denom) for v in prefix_norms]
         for m_hi in range(2, depth + 1):
             for n_lo in range(1, m_hi):
                 fac = cumprod[m_hi - 1] / cumprod[n_lo - 1]
@@ -466,17 +501,15 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
         if k >= 2:
             pts = _net_points(f_list, net_resolution, exact, rng)
             net_count = len(pts)
+            rows, _ = scan_rows(f_list)
             for a in pts:
-                y = combine(f_list, a)
-                sup_y = _sup(y)
+                y = scan_combine(rows, a)
+                mags = [abs(v) for v in y]
+                sup_y = max(mags)
                 if sup_y == 0:
                     continue
-                best_j, best_mag = None, -1
-                for j, v in enumerate(y.coords):
-                    mag = abs(v)
-                    if mag > best_mag:
-                        best_mag, best_j = mag, j + 1
-                sgn = 1 if y.at(best_j) >= 0 else -1
+                best_j = mags.index(sup_y) + 1
+                sgn = 1 if y[best_j - 1] >= 0 else -1
                 step_functionals.append((best_j, sgn))
                 if best_j not in constraint_set:
                     constraints.append(best_j)

@@ -35,6 +35,8 @@ from .core import (
     Subspace,
     norm,
     normalize,
+    scan_prefix_sups,
+    scan_rows,
     tail_norm,
     vanish_on_prefix,
 )
@@ -586,28 +588,37 @@ def basis_constant_lower_bound(family: Sequence[Seq], space: AmbientSpace,
     patterns), evaluates max over n <= m of |sum_{k<=n} a_k f_k| /
     |sum_{k<=m} a_k f_k|, and refines the best sample by coordinate
     descent.  Every reported value is attained, hence a true lower
-    bound; it can only underestimate the supremum.
+    bound; it can only underestimate the supremum.  Under the sup norm
+    the prefix norms come from scan rows, all scaled by one common
+    positive multiple, which the ratios do not see.
     """
     if not family:
         raise ConfigError("basis_constant_lower_bound needs a nonempty family")
     m = len(family)
     exact = all(f.exact for f in family)
     rng = random.Random(seed)
+    rows = scan_rows(family)[0] if space.is_sup else None
 
-    def best_ratio(coeffs) -> Scalar:
+    def prefix_norms(coeffs) -> list:
+        if space.is_sup:
+            return scan_prefix_sups(rows, coeffs)
         prefixes = []
         acc = None
         for k in range(m):
             term = family[k].scale(coeffs[k])
             acc = term if acc is None else acc.add(term)
             prefixes.append(acc)
-        norms = [norm(v, space) for v in prefixes]
+        return [norm(v, space) for v in prefixes]
+
+    def best_ratio(coeffs) -> Scalar:
+        norms = prefix_norms(coeffs)
         best = Fraction(0) if exact else 0.0
         for hi in range(m):
             if norms[hi] == 0:
                 continue
             for lo in range(hi + 1):
-                r = norms[lo] / norms[hi]
+                r = (Fraction(norms[lo], norms[hi]) if exact
+                     else norms[lo] / norms[hi])
                 if r > best:
                     best = r
         return best

@@ -60,19 +60,6 @@ def scalar_to_json(value: Scalar):
     return float(value)
 
 
-def as_float(value: Scalar) -> float:
-    return float(value)
-
-
-def exact_lift(value: Scalar) -> Fraction:
-    """Lift a scalar to an exact Fraction (floats lift to their binary value)."""
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def pow_int(base: Scalar, exponent: int) -> Scalar:
-    return base ** exponent
-
-
 def abs_pow(value: Scalar, p: Scalar) -> Scalar:
     """|value|**p, staying exact when both value and integer p are exact."""
     a = abs(value)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 
 from . import linalg
 from .certificates import Check, checks_status, make_check
-from .core import AmbientSpace, Seq, Subspace, combine, norm
+from .core import AmbientSpace, Seq, Subspace, norm, scan_combine, scan_rows
 from .errors import (
     ConfigError,
     MissingPerturbCert,
@@ -117,23 +117,29 @@ def witness_from_parts(family: list, markers: list, kind: str,
         raise TooFewIndices(
             f"witness split needs >= 4 constructed indices, got {len(markers)}")
     exact = family[0].exact
+    if any(f.exact != exact for f in family):
+        raise ConfigError("witness family mixes exact and float vectors")
     tol = zero_tol(exact, eta)
     even = [family[k] for k in range(1, len(family), 2)]   # positions 2,4,...
     odd = [family[k] for k in range(0, len(family), 2)]    # positions 1,3,...
     forbidden = [markers[k] for k in range(0, len(markers), 2)]
 
+    # each sample is evaluated only at the forbidden markers; exact-mode
+    # coefficients are k/8, so a value there is Y / (8 D) on the scan rows
+    rows, denom = scan_rows(even)
+    cols = [[row[s_val - 1] for s_val in forbidden] for row in rows]
     rng = random.Random(seed)
     checks: list[Check] = []
     worst = Fraction(0) if exact else 0.0
     worst_where = (0, 0)
     for i in range(samples):
         if exact:
-            coeffs = [Fraction(rng.randint(-32, 32), 8) for _ in range(len(even))]
+            coeffs = [rng.randint(-32, 32) for _ in range(len(even))]
         else:
             coeffs = [rng.uniform(-4.0, 4.0) for _ in range(len(even))]
-        sample = combine(even, coeffs)
-        for s_val in forbidden:
-            mag = abs(sample.at(s_val))
+        values = scan_combine(cols, coeffs)
+        for s_val, v in zip(forbidden, values):
+            mag = Fraction(abs(v), 8 * denom) if exact else abs(v)
             if mag > worst:
                 worst, worst_where = mag, (i, s_val)
             if mag > tol:

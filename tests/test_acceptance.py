@@ -130,7 +130,7 @@ def test_04_dominant_sequence_ledger(tmp_path):
     from seqlab.certificates import write_atomic
     from seqlab.cli import main as cli_main
     cert_path = str(tmp_path / "a4.json")
-    write_atomic(cert_path, doc)
+    write_atomic(cert_path, dumps_canonical(doc))
     assert cli_main(["verify", cert_path]) == 0
     report(4, "dominant-sequence ledger (l2, eps=0.1, depth 6, T=2000)", t0,
            60)

@@ -57,6 +57,23 @@ class TestLineabilityCommand:
         assert doc["data"]["certified_bound"] >= 0
         assert verify_certificate(doc).ok
 
+    def test_out_file_has_umask_default_mode(self, tmp_path, capsys):
+        # a umask that leaves group and other read bits, which mkstemp's
+        # 0o600 would drop
+        out = tmp_path / "lin.json"
+        plain = tmp_path / "plain.json"
+        old_mask = os.umask(0o022)
+        try:
+            with open(plain, "w"):
+                pass
+            code, _, _ = run(capsys, "lineability", "--ratios", "1/2,1/3",
+                             "--out", str(out))
+        finally:
+            os.umask(old_mask)
+        assert code == 0
+        assert os.stat(out).st_mode == os.stat(plain).st_mode
+        assert os.stat(out).st_mode & 0o777 == 0o644
+
     def test_bad_ratio_named(self, capsys):
         code, _, err = run(capsys, "lineability", "--ratios", "3/2")
         assert code == 1
