@@ -17,7 +17,7 @@ import tempfile
 from dataclasses import dataclass
 
 from .errors import MalformedCertificate
-from .scalar import Scalar, parse_scalar, scalar_to_json
+from .scalar import Scalar, scalar_to_json
 
 SCHEMA_VERSION = 1
 
@@ -50,10 +50,6 @@ class Check:
             "passed": self.passed,
         }
 
-    def label(self) -> str:
-        loc = ",".join(str(w) for w in self.where)
-        return f"{self.key}[{loc}]" if loc else self.key
-
 
 def evaluate(lhs: Scalar, rel: str, rhs: Scalar, tol: Scalar) -> bool:
     if rel == "lt":
@@ -75,22 +71,6 @@ def make_check(key: str, where, lhs: Scalar, rel: str, rhs: Scalar,
                tol: Scalar = 0) -> Check:
     return Check(key, tuple(where), lhs, rel, rhs, tol,
                  evaluate(lhs, rel, rhs, tol))
-
-
-def check_from_json(obj: dict) -> Check:
-    try:
-        exact = isinstance(obj["lhs"], str) or isinstance(obj["rhs"], str)
-        return Check(
-            key=obj["key"],
-            where=tuple(obj["where"]),
-            lhs=parse_scalar(obj["lhs"], exact),
-            rel=obj["rel"],
-            rhs=parse_scalar(obj["rhs"], exact),
-            tol=parse_scalar(obj["tol"], isinstance(obj["tol"], str)),
-            passed=bool(obj["passed"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise MalformedCertificate(f"bad check entry {obj!r}: {exc}") from exc
 
 
 def dumps_canonical(doc: dict) -> str:

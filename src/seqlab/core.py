@@ -426,11 +426,6 @@ class Subspace:
         tol = zero_tol(self.exact, self.eta if eta is None else eta)
         return self.residual_norm(x) <= tol
 
-    def coefficients_for(self, x: Seq) -> list[Scalar]:
-        rows = [b.coords for b in self.reduced_basis]
-        return linalg.span_coefficients(list(x.coords), rows,
-                                        [pc - 1 for pc in self.pivots])
-
 
 def vanish_at(subspace: Subspace, indices: Sequence[int],
               eta: Optional[float] = None) -> Seq:

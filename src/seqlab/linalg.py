@@ -137,12 +137,6 @@ def nullspace_basis(matrix: Sequence[Sequence[Scalar]], n_unknowns: int, eta,
     return out
 
 
-def span_coefficients(vec: Sequence[Scalar], rows: Sequence[Sequence[Scalar]],
-                      pivots: Sequence[int]) -> list[Scalar]:
-    """Coefficients of vec against RREF rows (coefficient = value at pivot)."""
-    return [vec[pc] for pc in pivots]
-
-
 def residual_vector(vec: Sequence[Scalar], rows: Sequence[Sequence[Scalar]],
                     pivots: Sequence[int]) -> list[Scalar]:
     """vec minus its projection onto the span of RREF rows."""

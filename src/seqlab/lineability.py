@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .core import AmbientSpace, Seq
 from .errors import ConfigError, DuplicateRatio, RatioOutOfRange
-from .scalar import Scalar, scalar_to_json
+from .scalar import scalar_to_json
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,6 @@ class GeometricCombination:
         for c in self.coeffs:
             if c == 0:
                 raise ConfigError("coefficients must be nonzero")
-
-    def coordinate(self, j: int) -> Scalar:
-        """The j-th coordinate (1-based): sum of coeff_i * ratio_i^j."""
-        return sum(c * r ** j for c, r in zip(self.coeffs, self.ratios))
 
 
 def geometric_generator(ratio, t: int, space: Optional[AmbientSpace] = None) -> Seq:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .certificates import Check, checks_status, make_check
+from .certificates import checks_status, make_check
 from .core import (
     AmbientSpace,
     Seq,
@@ -360,6 +360,40 @@ def sample_basis_inequality(f_list: Sequence[Seq], eps_seq: Sequence,
     return worst_by_pair
 
 
+def _family_tol(family: Sequence[Seq], eta: float) -> tuple:
+    """(exact, zero tolerance) of a family, read off its first vector."""
+    exact = family[0].exact if family else True
+    return exact, zero_tol(exact, eta)
+
+
+def mazur_checks(f: Sequence[Seq], n: Sequence[int], eps_seq: Sequence,
+                 seed: int, samples: int, eta: float) -> list:
+    """The Mazur ledger: f_k(n_k) = 1, 1 <= |f_k| <= 2, f_k(n_i) = 0 for
+    i < k, then the worst sampled basis-inequality margin per prefix
+    pair (n, m):
+    |sum_{k<=m} a_k f_k| * prod_{i=n..m-1} (1+eps_i) >= |sum_{k<=n} a_k f_k|.
+    """
+    exact, tol = _family_tol(f, eta)
+    checks = []
+    for k, (f_k, n_k) in enumerate(zip(f, n, strict=True), start=1):
+        sup_fk = _sup(f_k)
+        checks.append(make_check("diag_one", [k], f_k.at(n_k) - 1, "abs_le",
+                                 0, tol))
+        checks.append(make_check("norm_window_lower", [k], sup_fk, "ge", 1,
+                                 tol))
+        checks.append(make_check("norm_window_upper", [k], sup_fk, "le", 2,
+                                 tol if exact else 4 * eta))
+        for i in range(1, k):
+            checks.append(make_check("triangular_zero", [k, i],
+                                     f_k.at(n[i - 1]), "abs_le", 0, tol))
+    margins = sample_basis_inequality(f, eps_seq, len(f), exact, seed,
+                                      samples)
+    for (n_lo, m_hi), margin in sorted(margins.items()):
+        checks.append(make_check("basis_inequality_margin", [n_lo, m_hi],
+                                 margin, "ge", 0, tol))
+    return checks
+
+
 def _net_points(f_list: Sequence[Seq], resolution, exact: bool,
                 rng: random.Random) -> list:
     """Deterministic coefficient grid over the current span, used only to
@@ -439,7 +473,6 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
     half = Fraction(1, 2) if exact else 0.5
     accept_slack = tol if not exact else Fraction(0)
 
-    checks: list[Check] = []
     n_list: list[int] = []
     f_list: list[Seq] = []
     net_sizes: list[int] = []
@@ -486,14 +519,6 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
         f_k = witness.scale((Fraction(1) if exact else 1.0) / pivot_val)
         n_list.append(n_k)
         f_list.append(f_k)
-        sup_fk = _sup(f_k)
-        checks.append(make_check("diag_one", [k], f_k.at(n_k) - 1, "abs_le", 0, tol))
-        checks.append(make_check("norm_window_lower", [k], sup_fk, "ge", 1, tol))
-        checks.append(make_check("norm_window_upper", [k], sup_fk, "le", 2,
-                                 tol if exact else 4 * eta_v))
-        for i in range(1, k):
-            checks.append(make_check("triangular_zero", [k, i],
-                                     f_k.at(n_list[i - 1]), "abs_le", 0, tol))
         constraints.append(n_k)
         constraint_set.add(n_k)
         step_functionals: list[tuple] = []
@@ -518,23 +543,18 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
         functional_log.append(tuple(sorted(set(step_functionals))))
         w_basis, _ = _constrained_basis(subspace, constraints, tol)
 
-    # sampled basis inequality:
-    # |sum_{k<=m} a_k f_k| * prod_{i=n..m-1} (1+eps_i) >= |sum_{k<=n} a_k f_k|
-    space = subspace.ambient
-    worst_by_pair = sample_basis_inequality(f_list, eps_seq, depth, exact,
-                                            seed, samples)
-    for (n_lo, m_hi), margin in sorted(worst_by_pair.items()):
-        check = make_check("basis_inequality_margin", [n_lo, m_hi],
-                           margin, "ge", 0, tol)
-        checks.append(check)
-        if not check.passed:
+    checks = mazur_checks(f_list, n_list, eps_seq, seed, samples, eta_v)
+    for check in checks:
+        if check.key == "basis_inequality_margin" and not check.passed:
+            n_lo, m_hi = check.where
             raise NetTooCoarse(
                 f"sampled basis inequality failed for prefix pair "
-                f"({n_lo}, {m_hi}): margin {float(margin):.3g}; refine "
+                f"({n_lo}, {m_hi}): margin {float(check.lhs):.3g}; refine "
                 "net_resolution")
 
-    return MazurCert(space=space, eps_seq=tuple(eps_seq), n=tuple(n_list),
-                     f=tuple(f_list), net_sizes=tuple(net_sizes),
+    return MazurCert(space=subspace.ambient, eps_seq=tuple(eps_seq),
+                     n=tuple(n_list), f=tuple(f_list),
+                     net_sizes=tuple(net_sizes),
                      functionals=tuple(functional_log),
                      zeroed_coords=tuple(constraints), checks=tuple(checks),
                      eta=eta_v, seed=seed, samples=samples)
@@ -547,20 +567,65 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
 CASE_BOUNDS = {1: 6, 2: 2, 3: 8, 4: 8}
 
 
-def build_cascade(source: MazurCert, m: Sequence[int], depth: int,
-                  stab_tol: Scalar = DEFAULT_STAB_TOL,
-                  eta: Optional[float] = None,
-                  min_depth: Optional[int] = None) -> CascadeCert:
-    """Build the cascade h_1..h_depth from the Mazur family along m.
+def cascade_level(f_by_index: dict, pool: Sequence[int],
+                  stab_tol: Scalar) -> tuple:
+    """One cascade level on the index pool m: (case, h, t, kept, L1, L2).
 
-    Per level: g1 = f_{m1} - f_{m1}(m2) f_{m2}, g2 = f_{m2}; stabilize
-    both along the remaining indices; fire the case:
+    g1 = f_{m1} - f_{m1}(m2) f_{m2} and g2 = f_{m2} are stabilized along
+    the pool (kept is the stabilized remainder, L1/L2 the limits), and
+    the case is fired:
       L1 = 0            -> h = g1              (bound 6)
       L1 != 0, L2 = 0   -> h = g2              (bound 2)
       |L1| <= |L2|      -> h = g1 - (L1/L2) g2 (bound 8)
       |L2| <  |L1|      -> h = g2 - (L2/L1) g1 (bound 8)
     "= 0" means |L| <= stab_tol; exact ties take the third case.  The
     diagonal index t is m1 or m2, whichever coordinate equals 1.
+    """
+    m1, m2 = pool[0], pool[1]
+    f1, f2 = f_by_index[m1], f_by_index[m2]
+    g1 = f1.sub(f2.scale(f1.at(m2)))
+    g2 = f2
+    kept, l1, l2 = extract_stabilizing_subsequence(g1, g2, pool, stab_tol)
+    if abs(l1) <= stab_tol:
+        return 1, g1, m1, kept, l1, l2
+    if abs(l2) <= stab_tol:
+        return 2, g2, m2, kept, l1, l2
+    if abs(l1) <= abs(l2):
+        return 3, g1.sub(g2.scale(l1 / l2)), m1, kept, l1, l2
+    return 4, g2.sub(g1.scale(l2 / l1)), m2, kept, l1, l2
+
+
+def cascade_checks(h: Sequence[Seq], t: Sequence[int], cases: Sequence[int],
+                   stab_tol: Scalar, eta: float) -> list:
+    """The cascade ledger: per level |h_k| within its case bound,
+    h_k(t_k) = 1 and h_k(t_j) = 0 for j < k; then the post-horizon
+    envelope, each h_k small at every later diagonal."""
+    _, tol = _family_tol(h, eta)
+    checks = []
+    for level, (h_k, t_k, case) in enumerate(zip(h, t, cases, strict=True),
+                                             start=1):
+        checks.append(make_check("case_bound", [level, case], _sup(h_k), "le",
+                                 CASE_BOUNDS[case], tol))
+        checks.append(make_check("cascade_diag_one", [level],
+                                 h_k.at(t_k) - 1, "abs_le", 0, tol))
+        for j, t_j in enumerate(t[:level - 1], start=1):
+            checks.append(make_check("cascade_prefix_zero", [level, j],
+                                     h_k.at(t_j), "abs_le", 0, tol))
+    for k, h_k in enumerate(h, start=1):
+        later = t[k:]
+        if later:
+            envelope = max(abs(h_k.at(t_j)) for t_j in later)
+            checks.append(make_check("cascade_envelope", [k], envelope, "le",
+                                     2 * stab_tol, tol))
+    return checks
+
+
+def build_cascade(source: MazurCert, m: Sequence[int], depth: int,
+                  stab_tol: Scalar = DEFAULT_STAB_TOL,
+                  eta: Optional[float] = None,
+                  min_depth: Optional[int] = None) -> CascadeCert:
+    """Build the cascade h_1..h_depth from the Mazur family along m, one
+    ``cascade_level`` per level on the pool the previous level kept.
 
     Levels beyond min_depth (default: depth) are best-effort: bucket
     restriction can consume indices faster than two per level, so the
@@ -581,7 +646,6 @@ def build_cascade(source: MazurCert, m: Sequence[int], depth: int,
         raise ConfigError("cascade indices must be strictly increasing")
     f_by_index = {idx: vec for idx, vec in zip(source.n, source.f)}
 
-    checks: list[Check] = []
     cur = list(m)
     t_list: list[int] = []
     h_list: list[Seq] = []
@@ -593,40 +657,19 @@ def build_cascade(source: MazurCert, m: Sequence[int], depth: int,
                 break
             raise InsufficientStabilization(
                 f"cascade level {level}: only {len(cur)} indices remain")
-        m1, m2 = cur[0], cur[1]
-        f1, f2 = f_by_index[m1], f_by_index[m2]
-        g1 = f1.sub(f2.scale(f1.at(m2)))
-        g2 = f2
         try:
-            kept, l1, l2 = extract_stabilizing_subsequence(g1, g2, cur,
-                                                           stab_tol)
+            case, h, t_idx, kept, l1, l2 = cascade_level(f_by_index, cur,
+                                                         stab_tol)
         except InsufficientStabilization:
             if level > min_depth:
                 break
             raise
-        z1 = abs(l1) <= stab_tol
-        z2 = abs(l2) <= stab_tol
-        if z1:
-            case, h, t_idx = 1, g1, m1
-        elif z2:
-            case, h, t_idx = 2, g2, m2
-        elif abs(l1) <= abs(l2):
-            case, h, t_idx = 3, g1.sub(g2.scale(l1 / l2)), m1
-        else:
-            case, h, t_idx = 4, g2.sub(g1.scale(l2 / l1)), m2
         bound = CASE_BOUNDS[case]
         sup_h = _sup(h)
         if sup_h > bound + tol:
             raise CaseBoundViolated(
                 f"cascade level {level} case {case}: |h| = {float(sup_h):.6g} "
                 f"exceeds bound {bound}; stab_tol too loose")
-        checks.append(make_check("case_bound", [level, case], sup_h, "le",
-                                 bound, tol))
-        checks.append(make_check("cascade_diag_one", [level],
-                                 h.at(t_idx) - 1, "abs_le", 0, tol))
-        for j, tj in enumerate(t_list, start=1):
-            checks.append(make_check("cascade_prefix_zero", [level, j],
-                                     h.at(tj), "abs_le", 0, tol))
         t_list.append(t_idx)
         h_list.append(h)
         trace.append({"case": case, "L1": l1, "L2": l2, "bound": bound,
@@ -634,15 +677,8 @@ def build_cascade(source: MazurCert, m: Sequence[int], depth: int,
         limits.append({"L1": l1, "L2": l2, "stab_tol": stab_tol})
         cur = kept
 
-    # post-horizon envelope: each h_k is small at every later diagonal
-    for k in range(1, depth + 1):
-        later = t_list[k:]
-        if not later:
-            continue
-        envelope = max(abs(h_list[k - 1].at(tj)) for tj in later)
-        checks.append(make_check("cascade_envelope", [k], envelope, "le",
-                                 2 * stab_tol, tol))
-
+    checks = cascade_checks(h_list, t_list, [c["case"] for c in trace],
+                            stab_tol, eta_v)
     return CascadeCert(space=source.space, m=tuple(m), t=tuple(t_list),
                        h=tuple(h_list), case_trace=tuple(trace),
                        limit_estimates=tuple(limits), stab_tol=stab_tol,
@@ -653,6 +689,60 @@ def build_cascade(source: MazurCert, m: Sequence[int], depth: int,
 # ---------------------------------------------------------------------------
 # Final zeroing under the sup norm
 # ---------------------------------------------------------------------------
+
+def sup_zero_recursion(h_by_t: dict, s: Sequence[int]) -> list:
+    """Per k, the stages h_{s_k} = l_k^0, ..., l_k^{d-k} = l_k of the
+    correction l <- l - l(s_j) h_{s_j} over the later markers s_j, j > k."""
+    out = []
+    for k, s_k in enumerate(s, start=1):
+        cur = h_by_t[s_k]
+        path = [cur]
+        for s_j in s[k:]:
+            cur = cur.sub(h_by_t[s_j].scale(cur.at(s_j)))
+            path.append(cur)
+        out.append(path)
+    return out
+
+
+def sup_zeroing_checks(h_by_t: dict, s: Sequence[int], stages: Sequence[list],
+                       l: Sequence[Seq], eps: Scalar, k_est: Scalar,
+                       eta: float) -> list:
+    """The final zeroing ledger: greedy selection sums; per k, step norms
+    and residual |l_k - h_{s_k}| of the recursion stages, then |l_k| <= 9,
+    l_k(s_k) = 1 and l_k(s_j) = 0 (j != k) on l; then the normalized gate
+    sum residual_k / |h_{s_k}| <= eps and 2 K_est eps < 1.
+
+    The emitter passes the last stages as l, verify the stored l, so a
+    tampered coordinate is named by its zero_pattern entry."""
+    exact, tol = _family_tol(l, eta)
+    checks = []
+    for n_sel in range(1, len(s)):
+        total = sum(abs(h_by_t[s_i].at(s[n_sel])) for s_i in s[:n_sel])
+        checks.append(make_check("selection_sum", [n_sel + 1], total, "le",
+                                 eps / (2 ** (n_sel + 1) * 8), tol))
+    delta = Fraction(0) if exact else 0.0
+    for k, (s_k, path, l_k) in enumerate(zip(s, stages, l, strict=True),
+                                         start=1):
+        for step, (cur, nxt) in enumerate(zip(path, path[1:]), start=1):
+            checks.append(make_check("step_norm", [k, step], _sup(nxt.sub(cur)),
+                                     "le", eps / 2 ** (k + step), tol))
+        res = _sup(path[-1].sub(path[0]))
+        delta = delta + res / _sup(path[0])
+        checks.append(make_check("residual", [k], res, "le", eps / 2 ** k,
+                                 tol))
+        checks.append(make_check("sup_bound", [k], _sup(l_k), "le", 9, tol))
+        checks.append(make_check("diag_one", [k], l_k.at(s_k) - 1, "abs_le",
+                                 0, tol))
+        for j, s_j in enumerate(s, start=1):
+            if j != k:
+                checks.append(make_check("zero_pattern", [k, j], l_k.at(s_j),
+                                         "abs_le", 0, tol))
+    checks.append(make_check("normalized_delta_le_eps", [], delta, "le", eps,
+                             tol))
+    checks.append(make_check("perturbation_gate", [], 2 * k_est * eps, "lt",
+                             1, 0))
+    return checks
+
 
 def construct_sup_zeroed_sequence(subspace: Subspace, depth: int,
                                   k_est=None, *,
@@ -686,7 +776,6 @@ def construct_sup_zeroed_sequence(subspace: Subspace, depth: int,
             f"(T={subspace.truncation}, depth={depth})")
     exact = subspace.exact
     eta_v = subspace.eta if eta is None else eta
-    tol = zero_tol(exact, eta_v)
     if exact and not isinstance(stab_tol, Fraction):
         stab_tol = Fraction(str(stab_tol))
 
@@ -719,11 +808,9 @@ def construct_sup_zeroed_sequence(subspace: Subspace, depth: int,
         k_est = one
     eps = min((one / (4 * k_est)), (one / 64))
 
-    checks: list[Check] = []
     h_by_t = {tj: h for tj, h in zip(cascade.t, cascade.h)}
     t_all = list(cascade.t)
     s_list = [t_all[0]]
-    sel_checks = []
     pos = 1
     while len(s_list) < depth:
         n_sel = len(s_list)
@@ -732,53 +819,21 @@ def construct_sup_zeroed_sequence(subspace: Subspace, depth: int,
         while pos < len(t_all):
             cand = t_all[pos]
             pos += 1
-            total = sum(abs(h_by_t[sj].at(cand)) for sj in s_list)
-            if total <= budget:
-                chosen = (cand, total)
+            if sum(abs(h_by_t[sj].at(cand)) for sj in s_list) <= budget:
+                chosen = cand
                 break
         if chosen is None:
             raise SearchExhausted(
                 f"no cascade index beyond s_{n_sel} keeps the selection sum "
                 f"<= eps/(2^{n_sel + 1} * 8); deepen the cascade or loosen "
                 "stab_tol")
-        s_list.append(chosen[0])
-        sel_checks.append(make_check("selection_sum", [n_sel + 1], chosen[1],
-                                     "le", budget, tol))
-    checks.extend(sel_checks)
+        s_list.append(chosen)
 
-    l_list: list[Seq] = []
-    residuals = []
-    for k in range(1, depth + 1):
-        cur = h_by_t[s_list[k - 1]]
-        base = cur
-        for t_off in range(0, depth - k):
-            target = s_list[k + t_off]  # s_{k+t+1} in 1-based terms
-            coeff = cur.at(target)
-            nxt = cur.sub(h_by_t[target].scale(coeff))
-            step = _sup(nxt.sub(cur))
-            checks.append(make_check("step_norm", [k, t_off + 1], step, "le",
-                                     eps / 2 ** (k + t_off + 1), tol))
-            cur = nxt
-        l_list.append(cur)
-        res = _sup(cur.sub(base))
-        residuals.append(res)
-        checks.append(make_check("residual", [k], res, "le", eps / 2 ** k, tol))
-        checks.append(make_check("sup_bound", [k], _sup(cur), "le", 9, tol))
-        checks.append(make_check("diag_one", [k], cur.at(s_list[k - 1]) - 1,
-                                 "abs_le", 0, tol))
-        for j in range(1, depth + 1):
-            if j == k:
-                continue
-            checks.append(make_check("zero_pattern", [k, j],
-                                     cur.at(s_list[j - 1]), "abs_le", 0, tol))
-
-    # normalized perturbation gate: delta = sum residual_k / |h_{s_k}|
-    delta = sum((r / _sup(h_by_t[s_list[i]]) for i, r in enumerate(residuals)),
-                Fraction(0) if exact else 0.0)
-    checks.append(make_check("normalized_delta_le_eps", [], delta, "le", eps,
-                             tol))
-    checks.append(make_check("perturbation_gate", [], 2 * k_est * eps, "lt",
-                             1, 0))
+    stages = sup_zero_recursion(h_by_t, s_list)
+    l_list = [path[-1] for path in stages]
+    checks = sup_zeroing_checks(h_by_t, s_list, stages, l_list, eps, k_est,
+                                eta_v)
+    residuals = [c.lhs for c in checks if c.key == "residual"]
 
     return SupZeroingCert(space=subspace.ambient, eps=eps, k_est=k_est,
                           depth=depth, s=tuple(s_list), l=tuple(l_list),

@@ -7,11 +7,19 @@ the stored vectors, it reruns the recursion and compares, so a single
 tampered coordinate surfaces both as a recomputation mismatch and as a
 failed inequality.
 
-Numerics: stored doubles lift exactly to rationals, so sup and l1
+The sup-norm ledgers (mazur, cascade, sup_zeroing) are defined once, in
+``linf_construction``: verify runs the constructors' check functions on
+the stored vectors, ties the stored data to a rerun of the cascade
+levels and the zeroing recursion, and compares each recomputed ledger
+(key, where, passed) with the stored one.  The arithmetic is the
+emitter's: sup norms of stored doubles are exact, and the recursion
+repeats the same float operations.
+
+Numerics elsewhere: stored doubles lift exactly to rationals, so l1
 norms recompute exactly and integer-p norms recompute with a single
 terminal rounding (exact p-th-power accumulation).  This keeps the
-verifier's arithmetic independent of the float path that produced the
-certificate.
+lp verifier's arithmetic independent of the float path that produced
+the certificate.
 """
 from __future__ import annotations
 
@@ -22,7 +30,15 @@ from fractions import Fraction
 from typing import Optional
 
 from .certificates import evaluate, load_certificate, require
+from .core import Seq
 from .errors import MalformedCertificate, SeqLabError
+from .linf_construction import (
+    cascade_checks,
+    cascade_level,
+    mazur_checks,
+    sup_zero_recursion,
+    sup_zeroing_checks,
+)
 from .scalar import parse_scalar
 
 
@@ -57,6 +73,10 @@ class _Ctx:
                 f"{label}: {float(lhs):.12g} {rel} {float(rhs):.12g} "
                 f"(tol {float(tol):.3g}) FAILED")
         return ok
+
+    def run(self, checks) -> None:
+        for c in checks:
+            self.check(c.key, c.where, c.lhs, c.rel, c.rhs, c.tol)
 
 
 # -- raw-data helpers -------------------------------------------------------
@@ -313,9 +333,11 @@ def _verify_zeroing(doc, ctx: _Ctx):
               "abs_le", 0, 0)
     _verify_perturbation(doc["perturbation"], delta_dom, ctx.sub("perturbation"))
 
-    depth = int(doc["depth"])
     s_list = [int(v) for v in doc["s"]]
     ls = [_seq(o) for o in doc["l"]]
+    depth_ok = int(doc["depth"]) == len(s_list) == len(ls)
+    ctx.check("depth_matches", [], 0 if depth_ok else 1, "eq", 0, 0)
+    depth = len(s_list)
     exact = ls[0][1]
     residual_sum = Fraction(0) if exact else 0.0
     for k in range(1, depth + 1):
@@ -371,7 +393,7 @@ def _verify_zeroing(doc, ctx: _Ctx):
 
 
 def _verify_q_op(doc, fs, space, tol, ctx: _Ctx):
-    from .core import AmbientSpace, Seq
+    from .core import AmbientSpace
     from .operators import (ProjectionOp, idempotency_residual,
                             operator_norm_lower_bound)
     kind, p = space
@@ -397,154 +419,87 @@ def _verify_q_op(doc, fs, space, tol, ctx: _Ctx):
 
 # -- sup-norm family --------------------------------------------------------
 
+def _check_stored_ledger(doc: dict, checks, ctx: _Ctx) -> None:
+    stored = [(c["key"], c["where"], c["passed"]) for c in doc["checks"]]
+    recomputed = [(c.key, list(c.where), c.passed) for c in checks]
+    ctx.check("stored_ledger_matches", [], 0 if stored == recomputed else 1,
+              "eq", 0, 0)
+
+
+def _rerun_gap(stored: Seq, rerun: Seq) -> float:
+    return float(_sup_abs(_diff(stored.coords, rerun.coords)))
+
+
+def _rerun_tol(family, eta: float):
+    """Tolerance of _rerun_gap: 0 in exact mode, max(eta, 1e-12) in
+    float mode."""
+    return 0 if family[0].exact else max(eta, 1e-12)
+
+
 def _verify_mazur(doc, ctx: _Ctx):
-    require(doc, "space", "eps_seq", "n", "f", "eta", "seed", "samples")
-    space = _space(doc["space"])
+    require(doc, "space", "eps_seq", "n", "f", "eta", "seed", "samples",
+            "checks")
     eps_seq = [_scalar(e) for e in doc["eps_seq"]]
     n_list = [int(v) for v in doc["n"]]
-    fs = [_seq(o) for o in doc["f"]]
-    eta = float(doc["eta"])
-    exact = fs[0][1] if fs else True
-    tol = 0 if exact else eta
-    depth = len(fs)
-    increasing = all(n_list[i] < n_list[i + 1] for i in range(depth - 1))
+    fs = [Seq.from_json(o) for o in doc["f"]]
+    increasing = all(a < b for a, b in zip(n_list, n_list[1:]))
     ctx.check("n_increasing", [], 0 if increasing else 1, "eq", 0, 0)
     ctx.check("eps_seq_head", [], eps_seq[0], "eq", 1, 0)
-    for k in range(1, depth + 1):
-        vals = fs[k - 1][0]
-        sup = _sup_abs(vals)
-        ctx.check("diag_one", [k], _at(vals, n_list[k - 1]) - 1, "abs_le", 0,
-                  tol)
-        ctx.check("norm_window_lower", [k], sup, "ge", 1, tol)
-        ctx.check("norm_window_upper", [k], sup, "le", 2,
-                  tol if exact else 4 * eta)
-        for i in range(1, k):
-            ctx.check("triangular_zero", [k, i], _at(vals, n_list[i - 1]),
-                      "abs_le", 0, tol)
-    from .core import Seq
-    from .linf_construction import sample_basis_inequality
-    seqs = [Seq(tuple(vals), exact, tail) for vals, exact, tail in fs]
-    margins = sample_basis_inequality(seqs, eps_seq, depth, exact,
-                                      int(doc["seed"]), int(doc["samples"]))
-    for (n_lo, m_hi), margin in sorted(margins.items()):
-        ctx.check("basis_inequality_margin", [n_lo, m_hi], margin, "ge", 0,
-                  tol)
-    return fs, n_list, tol
+    checks = mazur_checks(fs, n_list, eps_seq, int(doc["seed"]),
+                          int(doc["samples"]), float(doc["eta"]))
+    ctx.run(checks)
+    _check_stored_ledger(doc, checks, ctx)
+    return fs, n_list
 
 
 def _verify_cascade(doc, ctx: _Ctx):
     require(doc, "space", "m", "t", "h", "case_trace", "stab_tol", "source",
-            "eta")
-    fs, n_list, tol = _verify_mazur(doc["source"], ctx.sub("mazur"))
-    space = _space(doc["space"])
+            "eta", "checks")
+    fs, n_list = _verify_mazur(doc["source"], ctx.sub("mazur"))
     stab_tol = _scalar(doc["stab_tol"])
+    eta = float(doc["eta"])
     m = [int(v) for v in doc["m"]]
     t_list = [int(v) for v in doc["t"]]
-    hs = [_seq(o) for o in doc["h"]]
-    trace = doc["case_trace"]
-    depth = len(hs)
-    exact = hs[0][1] if hs else True
+    hs = [Seq.from_json(o) for o in doc["h"]]
+    cases = [int(entry["case"]) for entry in doc["case_trace"]]
     n_set = set(n_list)
     ctx.check("m_subset_of_n", [], 0 if all(v in n_set for v in m) else 1,
               "eq", 0, 0)
-
-    from .core import Seq
-    from .linf_construction import CASE_BOUNDS, extract_stabilizing_subsequence
-    f_by_index = {idx: Seq(tuple(vals), ex, tail)
-                  for idx, (vals, ex, tail) in zip(n_list, fs)}
-    cur = list(m)
-    for level in range(1, depth + 1):
-        m1, m2 = cur[0], cur[1]
-        f1, f2 = f_by_index[m1], f_by_index[m2]
-        g1 = f1.sub(f2.scale(f1.at(m2)))
-        g2 = f2
-        kept, l1, l2 = extract_stabilizing_subsequence(g1, g2, cur, stab_tol)
-        z1 = abs(l1) <= stab_tol
-        z2 = abs(l2) <= stab_tol
-        if z1:
-            case, h, t_idx = 1, g1, m1
-        elif z2:
-            case, h, t_idx = 2, g2, m2
-        elif abs(l1) <= abs(l2):
-            case, h, t_idx = 3, g1.sub(g2.scale(l1 / l2)), m1
-        else:
-            case, h, t_idx = 4, g2.sub(g1.scale(l2 / l1)), m2
-        entry = trace[level - 1]
-        ctx.check("case_matches", [level], case, "eq", int(entry["case"]), 0)
-        ctx.check("t_matches", [level], t_idx, "eq", t_list[level - 1], 0)
-        ctx.check("h_matches", [level],
-                  float(_sup_abs(_diff(hs[level - 1][0], list(h.coords)))),
-                  "abs_le", 0, max(tol, 0 if exact else 1e-12))
-        stored_vals = hs[level - 1][0]
-        sup_h = _sup_abs(stored_vals)
-        ctx.check("case_bound", [level, case], sup_h, "le",
-                  CASE_BOUNDS[case], tol)
-        ctx.check("cascade_diag_one", [level],
-                  _at(stored_vals, t_idx) - 1, "abs_le", 0, tol)
-        for j in range(1, level):
-            ctx.check("cascade_prefix_zero", [level, j],
-                      _at(stored_vals, t_list[j - 1]), "abs_le", 0, tol)
-        cur = kept
-    for k in range(1, depth + 1):
-        later = t_list[k:]
-        if not later:
-            continue
-        envelope = max(abs(_at(hs[k - 1][0], tj)) for tj in later)
-        ctx.check("cascade_envelope", [k], envelope, "le", 2 * stab_tol, tol)
-    return hs, t_list, tol
+    checks = cascade_checks(hs, t_list, cases, stab_tol, eta)
+    ctx.run(checks)
+    f_by_index = dict(zip(n_list, fs))
+    pool = m
+    for level, (h_k, t_k, case_k) in enumerate(zip(hs, t_list, cases),
+                                               start=1):
+        case, h, t_idx, pool, _, _ = cascade_level(f_by_index, pool, stab_tol)
+        ctx.check("case_matches", [level], case, "eq", case_k, 0)
+        ctx.check("t_matches", [level], t_idx, "eq", t_k, 0)
+        ctx.check("h_matches", [level], _rerun_gap(h_k, h), "abs_le", 0,
+                  _rerun_tol(hs, eta))
+    _check_stored_ledger(doc, checks, ctx)
+    return hs, t_list
 
 
 def _verify_sup_zeroing(doc, ctx: _Ctx):
     require(doc, "space", "eps", "k_est", "depth", "s", "l", "residuals",
-            "cascade", "eta")
-    hs, t_list, tol = _verify_cascade(doc["cascade"], ctx.sub("cascade"))
-    space = _space(doc["space"])
-    eps = _scalar(doc["eps"])
-    k_est = _scalar(doc["k_est"])
-    depth = int(doc["depth"])
+            "cascade", "eta", "checks")
+    hs, t_list = _verify_cascade(doc["cascade"], ctx.sub("cascade"))
+    eta = float(doc["eta"])
     s_list = [int(v) for v in doc["s"]]
-    ls = [_seq(o) for o in doc["l"]]
-    exact = ls[0][1]
-    h_by_t = {tj: vals for tj, (vals, _, _) in zip(t_list, hs)}
-
-    # greedy selection sums
-    for n_sel in range(1, depth):
-        new = s_list[n_sel]
-        total = sum(abs(_at(h_by_t[s_list[i]], new)) for i in range(n_sel))
-        ctx.check("selection_sum", [n_sel + 1], total, "le",
-                  eps / (2 ** (n_sel + 1) * 8), tol)
-
-    residual_sum_norm = Fraction(0) if exact else 0.0
-    for k in range(1, depth + 1):
-        stored = ls[k - 1][0]
-        for j in range(1, depth + 1):
-            if j == k:
-                continue
-            ctx.check("zero_pattern", [k, j], _at(stored, s_list[j - 1]),
-                      "abs_le", 0, tol)
-        ctx.check("diag_one", [k], _at(stored, s_list[k - 1]) - 1, "abs_le",
-                  0, tol)
-        ctx.check("sup_bound", [k], _sup_abs(stored), "le", 9, tol)
-        base = list(h_by_t[s_list[k - 1]])
-        cur = base
-        for t_off in range(0, depth - k):
-            target = s_list[k + t_off]
-            coeff = _at(cur, target)
-            nxt = _axpy(cur, coeff, h_by_t[target])
-            step = _sup_abs(_diff(nxt, cur))
-            ctx.check("step_norm", [k, t_off + 1], step, "le",
-                      eps / 2 ** (k + t_off + 1), tol)
-            cur = nxt
-        ctx.check("l_matches_recursion", [k],
-                  float(_sup_abs(_diff(ls[k - 1][0], cur))), "abs_le", 0,
-                  max(tol, 0 if exact else 1e-12))
-        res = _sup_abs(_diff(stored, base))
-        ctx.check("residual", [k], res, "le", eps / 2 ** k, tol)
-        residual_sum_norm = residual_sum_norm \
-            + res / _sup_abs(h_by_t[s_list[k - 1]])
-    ctx.check("normalized_delta_le_eps", [], residual_sum_norm, "le", eps, tol)
-    ctx.check("perturbation_gate", [], 2 * k_est * eps, "lt", 1, 0)
-    return ls, s_list, tol
+    ls = [Seq.from_json(o) for o in doc["l"]]
+    depth_ok = int(doc["depth"]) == len(s_list) == len(ls)
+    ctx.check("depth_matches", [], 0 if depth_ok else 1, "eq", 0, 0)
+    h_by_t = dict(zip(t_list, hs))
+    stages = sup_zero_recursion(h_by_t, s_list)
+    checks = sup_zeroing_checks(h_by_t, s_list, stages, ls,
+                                _scalar(doc["eps"]), _scalar(doc["k_est"]),
+                                eta)
+    ctx.run(checks)
+    for k, (path, l_k) in enumerate(zip(stages, ls), start=1):
+        ctx.check("l_matches_recursion", [k], _rerun_gap(l_k, path[-1]),
+                  "abs_le", 0, _rerun_tol(ls, eta))
+    _check_stored_ledger(doc, checks, ctx)
+    return ls, s_list
 
 
 def _verify_witness(doc, ctx: _Ctx):
@@ -602,16 +557,16 @@ def _verify_density(doc, ctx: _Ctx):
                       "abs_le", 0,
                       tol if r_exact else 1e-9 * float(scale))
     elif path == "c0":
-        ls, s_list, _ = _sup_zeroing_parts(doc["sup_zeroing"], ctx)
+        ls, s_list = _verify_sup_zeroing(doc["sup_zeroing"],
+                                         ctx.sub("sup_zeroing"))
         space = _space(doc["sup_zeroing"]["space"])
         ctx.check("repair_distance", [], _nrm(space, _diff(result, f_in)),
                   "le", eps, tol)
         series = sum(abs(_at(f_in, s_val)) for s_val in s_list)
         ctx.check("series_budget", [], 9 * series, "le", eps, tol)
         expected = list(f_in)
-        for k, s_val in enumerate(s_list):
-            c = _at(f_in, s_val)
-            expected = _axpy(expected, c, ls[k][0])
+        for l_k, s_val in zip(ls, s_list):
+            expected = _axpy(expected, _at(f_in, s_val), l_k.coords)
         ctx.check("result_matches", [],
                   float(_sup_abs(_diff(result, expected))), "abs_le", 0,
                   max(tol, 0 if r_exact else 1e-12))
@@ -628,6 +583,3 @@ def _zeroing_parts(doc, ctx: _Ctx):
     s_list = [int(v) for v in doc["s"]]
     return ls, s_list, float(doc["eta"])
 
-
-def _sup_zeroing_parts(doc, ctx: _Ctx):
-    return _verify_sup_zeroing(doc, ctx.sub("sup_zeroing"))
