@@ -157,6 +157,15 @@ class Seq:
                        for j, v in enumerate(self.coords))
         return Seq(coords, self.exact, Fraction(0) if self.exact else 0.0)
 
+    def lift(self) -> "Seq":
+        """This vector in exact mode: each float becomes the rational it
+        stores, so norms of the result round only once, at the end."""
+        if self.exact:
+            return self
+        zero = Fraction(0)  # shared: lifted vectors are mostly zeros
+        return Seq(tuple(Fraction(v) if v else zero for v in self.coords),
+                   True, Fraction(self.tail_bound))
+
     def support(self, eta=0) -> list[int]:
         return [j + 1 for j, v in enumerate(self.coords) if abs(v) > eta]
 
@@ -218,8 +227,9 @@ def norm(x: Seq, space: AmbientSpace) -> Scalar:
     Exact for the sup norm and l1 on Fraction coordinates; general lp
     returns a float.  Raises NonFiniteCoordinate on NaN/inf input.
     """
-    for v in x.coords:
-        check_finite(v)
+    if not x.exact:
+        for v in x.coords:
+            check_finite(v)
     if space.is_sup:
         return max((abs(v) for v in x.coords), default=Fraction(0) if x.exact else 0.0)
     p = space.p
@@ -237,9 +247,10 @@ def norm_pth_power(x: Seq, space: AmbientSpace) -> Scalar:
     if space.is_sup:
         raise ConfigError("norm_pth_power needs a finite p")
     p = space.integer_p
+    if p is not None and x.exact:
+        return sum((abs(v) ** p for v in x.coords if v), Fraction(0))
     if p is not None:
-        return sum((abs_pow(v, p) for v in x.coords),
-                   Fraction(0) if x.exact else 0.0)
+        return sum((abs_pow(v, p) for v in x.coords), 0.0)
     return sum(float(abs(v)) ** float(space.p) for v in x.coords)
 
 

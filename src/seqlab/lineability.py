@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .certificates import checks_status, make_check
 from .core import AmbientSpace, Seq
 from .errors import ConfigError, DuplicateRatio, RatioOutOfRange
 from .scalar import scalar_to_json
@@ -169,31 +170,43 @@ def independence_rank(ratios: Sequence, t: int) -> int:
     return rank
 
 
+def lineability_checks(comb: GeometricCombination, zeros: Sequence[int],
+                       m: int, rank: int, scan_upto: int) -> list:
+    """The lineability ledger: the scanned zero set lies within the
+    certified bound M and has at most M elements, the ratio family has
+    full rank, and the top term strictly dominates at the 16 indices
+    after M (within the scan)."""
+    checks = [
+        make_check("zero_set_within_bound", [], max(zeros, default=0), "le", m, 0),
+        make_check("zero_set_size", [], len(zeros), "le", m, 0),
+        make_check("rank_full", [], rank, "eq", len(comb.ratios), 0),
+    ]
+    top = len(comb.ratios) - 1
+    for j in range(m + 1, min(m + 1 + 16, scan_upto + 1)):
+        lhs = abs(sum((comb.coeffs[i] * comb.ratios[i] ** j for i in range(top)),
+                      Fraction(0)))
+        rhs = abs(comb.coeffs[top]) * comb.ratios[top] ** j
+        checks.append(make_check("dominance_beyond_bound", [j], lhs, "lt", rhs, 0))
+    return checks
+
+
+def _entry_json(check) -> dict:
+    """A ledger entry as lineability certificates write it: integer sides
+    stay JSON integers, rationals become "num/den" strings."""
+    out = check.as_json()
+    for side in ("lhs", "rhs", "tol"):
+        if isinstance(getattr(check, side), int):
+            out[side] = getattr(check, side)
+    return out
+
+
 def lineability_certificate(comb: GeometricCombination, t: int,
                             scan_upto: int = 500) -> dict:
     """JSON-ready certificate: {ratios, coeffs, zero_set, certified bound, rank}."""
     m = certified_zero_bound(comb)
     zeros = zero_scan(comb, scan_upto)
     rank = independence_rank(comb.ratios, max(t, len(comb.ratios)))
-    checks = [
-        {"key": "zero_set_within_bound", "where": [],
-         "lhs": max(zeros) if zeros else 0, "rel": "le", "rhs": m, "tol": 0,
-         "passed": (max(zeros) if zeros else 0) <= m},
-        {"key": "zero_set_size", "where": [],
-         "lhs": len(zeros), "rel": "le", "rhs": m, "tol": 0,
-         "passed": len(zeros) <= m},
-        {"key": "rank_full", "where": [],
-         "lhs": rank, "rel": "eq", "rhs": len(comb.ratios), "tol": 0,
-         "passed": rank == len(comb.ratios)},
-    ]
-    top = len(comb.ratios) - 1
-    for j in range(m + 1, min(m + 1 + 16, scan_upto + 1)):
-        lhs = abs(sum(comb.coeffs[i] * comb.ratios[i] ** j for i in range(top)))
-        rhs = abs(comb.coeffs[top]) * comb.ratios[top] ** j
-        checks.append({"key": "dominance_beyond_bound", "where": [j],
-                       "lhs": scalar_to_json(lhs), "rel": "lt",
-                       "rhs": scalar_to_json(rhs), "tol": 0,
-                       "passed": lhs < rhs})
+    checks = lineability_checks(comb, zeros, m, rank, scan_upto)
     return {
         "schema_version": 1,
         "kind": "lineability",
@@ -207,6 +220,6 @@ def lineability_certificate(comb: GeometricCombination, t: int,
             "certified_bound": m,
             "rank": rank,
         },
-        "checks": checks,
-        "status": "pass" if all(c["passed"] for c in checks) else "fail",
+        "checks": [_entry_json(c) for c in checks],
+        "status": checks_status(checks),
     }

@@ -15,7 +15,10 @@ vanishes at every marker except its own.
 
 Every inequality consumed by these arguments is recorded as a ledger
 check with the values actually attained, so a verifier can recompute
-the whole story from raw coordinates.
+the whole story from raw coordinates.  Each ledger is built by one
+function (dominance_checks, perturbation_checks, zeroing_checks,
+q_checks) from the certificate's own data; the constructors emit its
+output and verify runs it on the stored vectors.
 
 Index convention: lists are Python 0-based, marker/coordinate indices
 are 1-based (s_list[k-1] is the k-th marker s_k).
@@ -28,7 +31,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .certificates import Check, checks_status, make_check
+from .certificates import checks_status, make_check
 from .core import (
     AmbientSpace,
     Seq,
@@ -205,6 +208,58 @@ def _check_eps(eps, sup: Fraction, what: str):
             f"for the {what} construction, got {eps}")
 
 
+def dominance_checks(space: AmbientSpace, s: Sequence[int],
+                     cuts: Sequence[int], f: Sequence[Seq],
+                     f_tilde: Sequence[Seq], g: Sequence[Seq], eps,
+                     tol) -> tuple[list, Scalar]:
+    """The dominant-sequence ledger and delta = sum |f_k - g_k|.
+
+    Per k: |f_k| = 1, f_1(s_1) != 0, f_k(s_j) = 0 for j < k, the combined
+    tail of |f_1| + ... + |f_k| beyond N_k below eps/2^{k+1}, and (k > 1)
+    sum_{i<k} |f_i(s_k)| < (eps/2^k) |f_k(s_k)|.  Then per window the norm
+    of f_tilde_k within eps/2^{k+1} of 1, |f_k - f_tilde_k| and
+    |f_k - g_k| small, and the bounds on delta.
+    """
+    checks = []
+    abs_sum = None
+    for k, (f_k, s_k, cut) in enumerate(zip(f, s, cuts, strict=True),
+                                        start=1):
+        if k > 1:
+            pred = sum(abs(f_i.at(s_k)) for f_i in f[:k - 1])
+            checks.append(make_check("dominance", [k - 1], pred, "lt",
+                                     eps / 2 ** k * abs(f_k.at(s_k)), tol))
+        checks.append(make_check("unit_norm", [k], abs(norm(f_k, space) - 1),
+                                 "abs_le", 0, tol))
+        if k == 1:
+            checks.append(make_check("marker_nonzero", [1], f_k.at(s_k),
+                                     "abs_gt", tol, 0))
+        for j in range(1, k):
+            checks.append(make_check("prefix_zero", [k, j], f_k.at(s[j - 1]),
+                                     "abs_le", 0, tol))
+        abs_sum = (f_k.abs_coords() if abs_sum is None
+                   else abs_sum.add(f_k.abs_coords()))
+        checks.append(make_check("tail_cut", [k], tail_norm(abs_sum, cut, space),
+                                 "lt", eps / 2 ** (k + 1), tol))
+    dists = []
+    for k, (f_k, ft, g_k) in enumerate(zip(f, f_tilde, g, strict=True),
+                                       start=1):
+        budget = eps / 2 ** (k + 1)
+        w_norm = norm(ft, space)
+        checks.append(make_check("window_norm_lower", [k], w_norm, "ge",
+                                 1 - budget, tol))
+        checks.append(make_check("window_norm_upper", [k], w_norm, "le", 1, tol))
+        checks.append(make_check("window_dist", [k], norm(f_k.sub(ft), space),
+                                 "lt", budget, tol))
+        dists.append(norm(f_k.sub(g_k), space))
+        checks.append(make_check("block_dist", [k], dists[-1], "le",
+                                 (4 / (4 - eps)) * (2 * eps / 2 ** (k + 1)), tol))
+    delta = sum(dists)
+    checks.append(make_check("delta_bound", [], delta, "le",
+                             4 * eps / (4 - eps), tol))
+    checks.append(make_check("delta_small", [], 8 * delta, "lt", 1, tol))
+    return checks, delta
+
+
 def construct_dominant_sequence(subspace: Subspace, eps, depth: int,
                                 f1: Optional[Seq] = None,
                                 eta: Optional[float] = None) -> DominanceCert:
@@ -237,7 +292,6 @@ def construct_dominant_sequence(subspace: Subspace, eps, depth: int,
             raise ConfigError("f1 must lie in the span of the subspace")
         f_cur = normalize(f1, space, eta=eta_v)
 
-    checks: list[Check] = []
     fs = [f_cur]
     s_list: list[int] = []
     cut_list: list[int] = []
@@ -256,11 +310,6 @@ def construct_dominant_sequence(subspace: Subspace, eps, depth: int,
             f"tail(f1, n) < eps/4 = {float(target):.3g}; T too small")
     s_list.append(n1)
     cut_list.append(n1)
-    checks.append(make_check("unit_norm", [1], abs(norm(f_cur, space) - 1),
-                             "abs_le", 0, tol))
-    checks.append(make_check("marker_nonzero", [1], f_cur.at(n1), "abs_gt", tol, 0))
-    checks.append(make_check("tail_cut", [1],
-                             tail_norm(abs_sum, n1, space), "lt", target, tol))
 
     for k in range(1, depth):
         # fresh unit vector vanishing on the prefix 1..N_k
@@ -294,46 +343,17 @@ def construct_dominant_sequence(subspace: Subspace, eps, depth: int,
                 f"< eps/2^{k + 2}; T too small")
         cut_list.append(n_next)
 
-        pred = sum(abs(f.at(s_next)) for f in fs[:-1])
-        checks.append(make_check("dominance", [k], pred, "lt",
-                                 budget * abs(f_next.at(s_next)), tol))
-        checks.append(make_check("unit_norm", [k + 1],
-                                 abs(norm(f_next, space) - 1), "abs_le", 0, tol))
-        for j in range(1, k + 1):
-            checks.append(make_check("prefix_zero", [k + 1, j],
-                                     f_next.at(s_list[j - 1]), "abs_le", 0, tol))
-        checks.append(make_check("tail_cut", [k + 1],
-                                 tail_norm(abs_sum, n_next, space), "lt",
-                                 tail_budget, tol))
-
-    # windows, blocks, delta
+    # windows and normalized blocks
     sigma = []
     f_tilde = []
     g = []
-    delta = Fraction(0) if exact else 0.0
     for k in range(1, depth + 1):
-        lo = 1 if k == 1 else cut_list[k - 2] + 1
-        hi = cut_list[k - 1]
-        window = (lo, hi)
+        window = (1 if k == 1 else cut_list[k - 2] + 1, cut_list[k - 1])
         sigma.append(window)
-        ft = fs[k - 1].restrict(window)
-        f_tilde.append(ft)
-        w_norm = norm(ft, space)
-        budget = eps / 2 ** (k + 1)
-        checks.append(make_check("window_norm_lower", [k], w_norm, "ge",
-                                 1 - budget, tol))
-        checks.append(make_check("window_norm_upper", [k], w_norm, "le", 1, tol))
-        checks.append(make_check("window_dist", [k],
-                                 norm(fs[k - 1].sub(ft), space), "lt", budget, tol))
-        gk = normalize(ft, space, eta=eta_v)
-        g.append(gk)
-        fg = norm(fs[k - 1].sub(gk), space)
-        delta = delta + fg
-        checks.append(make_check("block_dist", [k], fg, "le",
-                                 (4 / (4 - eps)) * (2 * eps / 2 ** (k + 1)), tol))
-    checks.append(make_check("delta_bound", [], delta, "le",
-                             4 * eps / (4 - eps), tol))
-    checks.append(make_check("delta_small", [], 8 * delta, "lt", 1, tol))
+        f_tilde.append(fs[k - 1].restrict(window))
+        g.append(normalize(f_tilde[-1], space, eta=eta_v))
+    checks, delta = dominance_checks(space, s_list, cut_list, fs, f_tilde, g,
+                                     eps, tol)
 
     return DominanceCert(space=space, eps=eps, depth=depth, s=tuple(s_list),
                          n_cut=tuple(cut_list), f=tuple(fs),
@@ -423,21 +443,29 @@ def small_perturbation_cert(base: Sequence[Seq], perturbed: Sequence[Seq],
         if len(b) != len(q):
             raise LengthMismatch("base/perturbed truncation lengths differ")
         delta = delta + norm(q.sub(b), space)
-    prod = 8 * k_const * delta * p_norm
-    ok = prod < 1
-    checks = [make_check("perturbation_gate", [], prod, "lt", 1, 0)]
-    if not ok:
+    checks, bounds = perturbation_checks(k_const, p_norm, delta)
+    if bounds is None:
         return PerturbationCert(k_const, p_norm, delta, False,
                                 None, None, None, None, tuple(checks))
+    return PerturbationCert(k_const, p_norm, delta, True, *bounds,
+                            tuple(checks))
+
+
+def perturbation_checks(k_const, p_norm, delta) -> tuple[list, Optional[tuple]]:
+    """The perturbation ledger: the gate 8*K*delta*P_norm < 1 and, when
+    8*delta <= 1 and K = 1, the transfer bound 1+2K*delta <= 2.  Also
+    returns the bounds (t_norm, basis, q_norm, q_norm_tight) the gate buys,
+    or None when it fails."""
+    prod = 8 * k_const * delta * p_norm
+    checks = [make_check("perturbation_gate", [], prod, "lt", 1, 0)]
+    if not checks[0].passed:
+        return checks, None
     t_bound = 1 + 2 * k_const * delta
-    basis_bound = 2 / (1 - 2 * k_const * delta)
-    coarse_t = t_bound if t_bound > 2 else (Fraction(2) if exact else 2.0)
-    q_bound = coarse_t * p_norm / (1 - prod)
-    q_bound_tight = t_bound * p_norm / (1 - prod)
     if 8 * delta <= 1 and k_const == 1:
         checks.append(make_check("transfer_bound_le_2", [], t_bound, "le", 2, 0))
-    return PerturbationCert(k_const, p_norm, delta, True, t_bound, basis_bound,
-                            q_bound, q_bound_tight, tuple(checks))
+    coarse_t = t_bound if t_bound > 2 else 2
+    return checks, (t_bound, 2 / (1 - 2 * k_const * delta),
+                    coarse_t * p_norm / (1 - prod), t_bound * p_norm / (1 - prod))
 
 
 def projection_onto_family(family: Sequence[Seq], block_p: ProjectionOp,
@@ -481,6 +509,85 @@ def projection_onto_family(family: Sequence[Seq], block_p: ProjectionOp,
                         norm_upper=norm_upper)
 
 
+def zero_recursion(f: Sequence[Seq], s: Sequence[int]):
+    """Yield, per k, the stages f_k = l_k^0, ..., l_k^{d-k} = l_k of the
+    correction l <- l - (l(s_m)/f_m(s_m)) f_m over the later markers s_m."""
+    if len(f) != len(s):
+        raise LengthMismatch(f"{len(f)} vectors vs {len(s)} markers")
+    for k in range(len(f)):
+        cur = f[k]
+        path = [cur]
+        for f_m, s_m in zip(f[k + 1:], s[k + 1:]):
+            cur = cur.sub(f_m.scale(cur.at(s_m) / f_m.at(s_m)))
+            path.append(cur)
+        yield path
+
+
+def zeroing_checks(space: AmbientSpace, s: Sequence[int],
+                   stages: Sequence[list], l: Sequence[Seq], eps, q_bound,
+                   tol) -> list:
+    """The coordinate-zeroing ledger.  Per k: each recursion step below
+    eps/2^{k+t}, the residual |l_k - f_k| below eps/2^k and the Cauchy
+    bounds between stages (all read the stages), then l_k(s_j) = 0 for
+    j != k and l_k(s_k) = f_k(s_k) != 0 (read l).  Then the gates on the
+    residual sum delta: 8*delta < 1 and, given the perturbation
+    certificate's q_bound, 8*K*delta*q_bound below both 1 and 512*eps.
+
+    The emitter passes the last stages as l, verify the stored l, so a
+    tampered coordinate is named by its zero_pattern entry."""
+    checks = []
+    residuals = []
+    for k, (path, l_k) in enumerate(zip(stages, l, strict=True), start=1):
+        f_k, s_k = path[0], s[k - 1]
+        for t, (cur, nxt) in enumerate(zip(path, path[1:]), start=1):
+            checks.append(make_check("step_norm", [k, t], norm(nxt.sub(cur), space),
+                                     "lt", eps / 2 ** (k + t), tol))
+        residuals.append(norm(path[-1].sub(f_k), space))
+        checks.append(make_check("residual", [k], residuals[-1], "le",
+                                 eps / 2 ** k, tol))
+        # telescoped contraction between any two recorded stages
+        for m in range(len(path) - 1):
+            worst = max(norm(path[t].sub(path[m]), space)
+                        for t in range(m + 1, len(path)))
+            checks.append(make_check("cauchy", [k, m], worst, "le",
+                                     eps / 2 ** (k + m), tol))
+        for j, s_j in enumerate(s, start=1):
+            if j != k:
+                checks.append(make_check("zero_pattern", [k, j], l_k.at(s_j),
+                                         "abs_le", 0, tol))
+        checks.append(make_check("diag_nonzero", [k], l_k.at(s_k), "abs_gt",
+                                 tol, 0))
+        checks.append(make_check("diag_preserved", [k],
+                                 l_k.at(s_k) - f_k.at(s_k), "abs_le", 0, tol))
+    delta = sum(residuals)
+    k_bound = (8 - 2 * eps) / (4 - 9 * eps)
+    checks.append(make_check("gate_block", [], 8 * delta, "lt", 1, 0))
+    if q_bound is not None:
+        strict = 8 * k_bound * delta * q_bound
+        checks.append(make_check("gate_strict", [], strict, "lt", 1, 0))
+        checks.append(make_check("gate_vs_512eps", [], strict, "lt", 512 * eps, 0))
+    checks.append(make_check("gate_512eps_lt_1", [], 512 * eps, "lt", 1, 0))
+    return checks
+
+
+def q_checks(q: ProjectionOp, f: Sequence[Seq], seed: int, q_bound,
+             fix_tol, eta: float) -> list:
+    """The projection evidence: Q fixes each f_k, a sampled idempotency
+    residual and, given q_bound, a sampled norm lower bound below it."""
+    checks = [make_check("q_fixes_family", [k],
+                         norm(q.apply(f_k).sub(f_k), q.space), "abs_le", 0,
+                         fix_tol)
+              for k, f_k in enumerate(f, start=1)]
+    checks.append(make_check("q_idempotent", [],
+                             idempotency_residual(q, trials=64, seed=seed),
+                             "abs_le", 0, fix_tol))
+    if q_bound is not None:
+        checks.append(make_check("q_norm_sampled_le_bound", [],
+                                 operator_norm_lower_bound(q, trials=64, seed=seed),
+                                 "le", q_bound, eta))
+    return checks
+
+
 def construct_zeroed_sequence(subspace: Subspace, eps, depth: int,
                               eta: Optional[float] = None,
                               seed: int = 0,
@@ -504,74 +611,23 @@ def construct_zeroed_sequence(subspace: Subspace, eps, depth: int,
     proj = block_projection(dom.g, dom.sigma, space.p, eta=eta_v)
     pert = small_perturbation_cert(dom.g, dom.f, 1, proj, space, eta=eta_v)
 
-    checks: list[Check] = []
-    l_final: list[Seq] = []
-    residuals = []
-    iter_depths = []
-    for k in range(1, depth + 1):
-        stages = [dom.f[k - 1]]
-        cur = dom.f[k - 1]
-        for t in range(0, depth - k):
-            m_idx = k + t + 1  # 1-based index of the correcting vector
-            marker = dom.s[m_idx - 1]
-            denom = dom.f[m_idx - 1].at(marker)
-            if abs(denom) <= tol:
-                raise ConstructionFailure(
-                    f"correcting vector {m_idx} vanishes at its own marker")
-            coeff = cur.at(marker) / denom
-            nxt = cur.sub(dom.f[m_idx - 1].scale(coeff))
-            step = norm(nxt.sub(cur), space)
-            checks.append(make_check("step_norm", [k, t + 1], step, "lt",
-                                     eps / 2 ** (k + t + 1), tol))
-            stages.append(nxt)
-            cur = nxt
-        iter_depths.append(depth - k)
-        l_final.append(cur)
-        res = norm(cur.sub(dom.f[k - 1]), space)
-        residuals.append(res)
-        checks.append(make_check("residual", [k], res, "le", eps / 2 ** k, tol))
-        # telescoped contraction between any two recorded stages
-        for m in range(len(stages) - 1):
-            worst = max(norm(stages[t].sub(stages[m]), space)
-                        for t in range(m + 1, len(stages)))
-            checks.append(make_check("cauchy", [k, m], worst, "le",
-                                     eps / 2 ** (k + m), tol))
-        for j in range(1, depth + 1):
-            if j == k:
-                continue
-            checks.append(make_check("zero_pattern", [k, j],
-                                     cur.at(dom.s[j - 1]), "abs_le", 0, tol))
-        checks.append(make_check("diag_nonzero", [k], cur.at(dom.s[k - 1]),
-                                 "abs_gt", tol, 0))
-        checks.append(make_check("diag_preserved", [k],
-                                 cur.at(dom.s[k - 1]) - dom.f[k - 1].at(dom.s[k - 1]),
-                                 "abs_le", 0, tol))
-
-    delta = sum(residuals, Fraction(0) if exact else 0.0)
-    k_bound = (8 - 2 * eps) / (4 - 9 * eps)
-    q_bound = pert.q_norm_bound if pert.q_norm_bound is not None else None
-    checks.append(make_check("gate_block", [], 8 * delta, "lt", 1, 0))
-    if q_bound is not None:
-        strict = 8 * k_bound * delta * q_bound
-        checks.append(make_check("gate_strict", [], strict, "lt", 1, 0))
-        checks.append(make_check("gate_vs_512eps", [], strict, "lt", 512 * eps, 0))
-    checks.append(make_check("gate_512eps_lt_1", [], 512 * eps, "lt", 1, 0))
+    # the recursion divides by f_m(s_m) for every m > 1
+    for m in range(2, depth + 1):
+        if abs(dom.f[m - 1].at(dom.s[m - 1])) <= tol:
+            raise ConstructionFailure(
+                f"correcting vector {m} vanishes at its own marker")
+    stages = list(zero_recursion(dom.f, dom.s))
+    l_final = [path[-1] for path in stages]
+    checks = zeroing_checks(space, dom.s, stages, l_final, eps,
+                            pert.q_norm_bound, tol)
+    residuals = [c.lhs for c in checks if c.key == "residual"]
+    iter_depths = [depth - k for k in range(1, depth + 1)]
 
     q_op = projection_onto_family(dom.f, proj, space,
-                                  norm_upper=q_bound, eta=eta_v)
+                                  norm_upper=pert.q_norm_bound, eta=eta_v)
     if q_op is not None:
         fix_tol = max(eta_v, 1e-7) if not exact else tol
-        for k in range(1, depth + 1):
-            diff = norm(q_op.apply(dom.f[k - 1]).sub(dom.f[k - 1]), space)
-            checks.append(make_check("q_fixes_family", [k], diff, "abs_le", 0,
-                                     fix_tol))
-        checks.append(make_check("q_idempotent", [],
-                                 idempotency_residual(q_op, trials=64, seed=seed),
-                                 "abs_le", 0, fix_tol))
-        if q_bound is not None:
-            sampled = operator_norm_lower_bound(q_op, trials=64, seed=seed)
-            checks.append(make_check("q_norm_sampled_le_bound", [], sampled,
-                                     "le", q_bound, eta_v))
+        checks += q_checks(q_op, dom.f, seed, pert.q_norm_bound, fix_tol, eta_v)
 
     return ZeroingCert(space=space, eps=eps, depth=depth, s=dom.s,
                        l=tuple(l_final), residuals=tuple(residuals),

@@ -30,7 +30,7 @@ from .linf_construction import SupZeroingCert, construct_sup_zeroed_sequence, \
     mazur_basic_sequence
 from .lp_construction import ZeroingCert, construct_zeroed_sequence
 from .operators import ProjectionOp, idempotency_residual, operator_norm_lower_bound
-from .scalar import scalar_to_json, zero_tol
+from .scalar import Scalar, scalar_to_json, zero_tol
 
 SourceCert = Union[ZeroingCert, SupZeroingCert]
 
@@ -214,6 +214,45 @@ def complement_split(cert: ZeroingCert, trials: int = 200,
     return split, report
 
 
+def lp_density_checks(space: AmbientSpace, f: Seq, result: Seq,
+                      forbidden: Sequence[int], eps, tol) -> tuple[list, Scalar]:
+    """The lp density ledger and the distance |result - f|: the distance
+    within |f| eps/2, and result vanishing at the later markers (within
+    |f| * 1e-9 in float mode)."""
+    scale = norm(f, space)
+    dist = norm(result.sub(f), space)
+    checks = [make_check("repair_distance", [], dist, "le", scale * eps / 2, tol)]
+    marker_tol = tol if tol == 0 else float(scale) * 1e-9
+    for j, s_val in enumerate(forbidden, start=2):
+        checks.append(make_check("repair_zero_at_marker", [j], result.at(s_val),
+                                 "abs_le", 0, marker_tol))
+    return checks, dist
+
+
+def c0_repair(f: Seq, s: Sequence[int], l: Sequence[Seq]) -> Seq:
+    """f - sum_k f(s_k) l_k: f corrected to vanish at the markers s."""
+    correction = None
+    for s_k, l_k in zip(s, l, strict=True):
+        term = l_k.scale(f.at(s_k))
+        correction = term if correction is None else correction.add(term)
+    return f.sub(correction)
+
+
+def c0_density_checks(space: AmbientSpace, f: Seq, result: Seq,
+                      s: Sequence[int], eps, tol) -> tuple[list, Scalar, Scalar]:
+    """The c0 density ledger, the distance |result - f| and the series
+    sum |f(s_k)|: the distance and 9 times the series within eps, and
+    result vanishing at every marker."""
+    dist = norm(result.sub(f), space)
+    series = sum(abs(f.at(s_k)) for s_k in s)
+    checks = [make_check("repair_distance", [], dist, "le", eps, tol),
+              make_check("series_budget", [], 9 * series, "le", eps, tol)]
+    for k, s_k in enumerate(s, start=1):
+        checks.append(make_check("repair_zero_at_marker", [k], result.at(s_k),
+                                 "abs_le", 0, tol))
+    return checks, dist, series
+
+
 def density_repair_lp(subspace: Subspace, f: Seq, eps,
                       depth: int = 4, eta: Optional[float] = None,
                       seed: int = 0) -> tuple[Seq, dict]:
@@ -230,18 +269,9 @@ def density_repair_lp(subspace: Subspace, f: Seq, eps,
     cert = construct_zeroed_sequence(subspace, eps_inner, depth,
                                      eta=eta_v, seed=seed, f1=f)
     result = cert.l[0].scale(scale)
-    dist = norm(result.sub(f), subspace.ambient)
-    tol = zero_tol(result.exact, eta_v)
     forbidden = list(cert.s[1:])
-    checks = [
-        make_check("repair_distance", [], dist, "le",
-                   scale * eps / 2, tol).as_json(),
-    ]
-    for j, s_val in enumerate(forbidden, start=2):
-        checks.append(make_check("repair_zero_at_marker", [j],
-                                 result.at(s_val), "abs_le", 0,
-                                 tol if result.exact else float(scale) * 1e-9
-                                 ).as_json())
+    checks, dist = lp_density_checks(subspace.ambient, f, result, forbidden,
+                                     eps, zero_tol(result.exact, eta_v))
     report = {
         "path": "lp",
         "eps": scalar_to_json(eps),
@@ -251,7 +281,7 @@ def density_repair_lp(subspace: Subspace, f: Seq, eps,
         "zeroing": cert.as_json(),
         "result": result.as_json(),
         "input": f.as_json(),
-        "checks": checks,
+        "checks": [c.as_json() for c in checks],
     }
     return result, report
 
@@ -307,20 +337,9 @@ def density_repair_c0(subspace: Subspace, f: Seq, eps,
         subspace, depth, eta=eta_v, seed=seed, cascade_pad=cascade_pad,
         mazur_pad=mazur_pad, mazur_cert=mazur, m_indices=chosen,
         **pipeline_kwargs)
-    correction = None
-    for k, s_val in enumerate(cert.s):
-        term = cert.l[k].scale(f.at(s_val))
-        correction = term if correction is None else correction.add(term)
-    g = f.sub(correction)
-    dist = norm(g.sub(f), subspace.ambient)
-    series = sum(abs(f.at(s_val)) for s_val in cert.s)
-    checks = [
-        make_check("repair_distance", [], dist, "le", eps, tol).as_json(),
-        make_check("series_budget", [], 9 * series, "le", eps, tol).as_json(),
-    ]
-    for k, s_val in enumerate(cert.s, start=1):
-        checks.append(make_check("repair_zero_at_marker", [k],
-                                 g.at(s_val), "abs_le", 0, tol).as_json())
+    g = c0_repair(f, cert.s, cert.l)
+    checks, dist, series = c0_density_checks(subspace.ambient, f, g, cert.s,
+                                             eps, tol)
     report = {
         "path": "c0",
         "eps": scalar_to_json(eps),
@@ -330,7 +349,7 @@ def density_repair_c0(subspace: Subspace, f: Seq, eps,
         "sup_zeroing": cert.as_json(),
         "result": g.as_json(),
         "input": f.as_json(),
-        "checks": checks,
+        "checks": [c.as_json() for c in checks],
     }
     return g, report
 

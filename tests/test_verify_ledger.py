@@ -1,6 +1,7 @@
-"""verify on sup-norm certificates: the ledger it recomputes is the
-stored one, and tampers inside nested levels, with the stored ledger or
-with the lengths of the stored lists are all rejected."""
+"""verify on sup-norm, lp, density and lineability certificates: the
+ledger it recomputes is the stored one, and tampers inside nested
+levels, with the stored ledger, the derived fields, the top-level
+status or the lengths of the stored lists are all rejected."""
 import copy
 import json
 from fractions import Fraction
@@ -42,7 +43,47 @@ def docs(tmp_path_factory):
                 "seed": 11, "space": None, "p": None}))
     assert code == 0
     out["zeroing"] = json.loads(dumps_canonical(doc))
+    lp = {"eps": Fraction(1, 100), "depth": 4, "mode": "auto", "seed": 11,
+          "stab_tol": Fraction(1, 10 ** 6)}
+    scenarios = {
+        "dominance": Scenario(name="l2", pipeline="lp", fixture=str(fix),
+                              params=dict(lp, space=None, p=None)),
+        "density_lp": Scenario(name="l2", pipeline="density", fixture=str(fix),
+                               params=dict(lp, coeffs=[Fraction(1)] + [
+                                   Fraction((-1) ** j, 10000 * 2 ** j)
+                                   for j in range(1, 20)])),
+        "density_c0": Scenario(name="c0", pipeline="density",
+                               fixture=_c0_fixture(tmp_path),
+                               params=dict(lp, eps=Fraction(1, 20),
+                                           coeffs=None)),
+        "lineability": Scenario(name="lin", pipeline="lineability", params={
+            "ratios": [Fraction(1, 4), Fraction(1, 2)],
+            "coeffs": [Fraction(-2), Fraction(1)],
+            "truncation": 256, "scan": 500}),
+    }
+    for key, scenario in scenarios.items():
+        doc, code = run_scenario(scenario)
+        assert code == 0, key
+        out[key] = json.loads(dumps_canonical(doc))
+    src = tmp_path / "zeroing.json"
+    src.write_text(dumps_canonical(out["zeroing"]))
+    doc, code = run_scenario(Scenario(name="w", pipeline="witness", params={
+        "cert": str(src), "samples": 100, "seed": 11}))
+    assert code == 0
+    out["witness"] = json.loads(dumps_canonical(doc))
     return out
+
+
+def _c0_fixture(tmp_path):
+    gens = []
+    for i in range(1, 37):
+        coords = ["0/1"] * 96
+        coords[i - 1] = f"1/{2 ** i}"
+        gens.append({"kind": "dense", "coords": coords})
+    fix = tmp_path / "c0.json"
+    fix.write_text(json.dumps({"space": {"kind": "c0"}, "truncation": 96,
+                               "generators": gens}))
+    return str(fix)
 
 
 def _verify_cli(tmp_path, doc):
@@ -148,4 +189,107 @@ def test_length_mismatch_is_malformed(docs, path, tmp_path):
     node[path[-1]].pop()
     with pytest.raises(MalformedCertificate):
         verify_certificate(doc)
+    assert _verify_cli(tmp_path, doc) == 1
+
+
+def _spy_ledgers(monkeypatch):
+    runs = {}
+    real_run = _Ctx.run
+
+    def spy(self, checks):
+        runs[self.prefix] = list(checks)
+        real_run(self, checks)
+
+    monkeypatch.setattr(_Ctx, "run", spy)
+    return runs
+
+
+def test_lp_recomputed_ledger_equals_stored(docs, monkeypatch):
+    # verify's lp norms are exact p-th-power sums on the lifted vectors,
+    # so lhs may differ from the emitter's float values in the last bits;
+    # key, where and passed may not
+    doc = docs["zeroing"]
+    runs = _spy_ledgers(monkeypatch)
+    assert verify_certificate(doc).ok
+    levels = {"": doc, "dominance.": doc["dominance"],
+              "perturbation.": doc["perturbation"]}
+    assert set(runs) == set(levels)
+    for prefix, level in levels.items():
+        fields = ("key", "where", "passed")
+        recomputed = [{f: c.as_json()[f] for f in fields}
+                      for c in runs[prefix]]
+        stored = [{f: c[f] for f in fields} for c in level["checks"]]
+        assert recomputed == stored, prefix
+
+
+def test_lp_stored_ledger_all_failed_is_rejected(docs):
+    doc = copy.deepcopy(docs["zeroing"])
+    for level in (doc, doc["dominance"], doc["perturbation"]):
+        for check in level["checks"]:
+            check["passed"] = False
+    report = verify_certificate(doc)
+    assert [f.split(":")[0] for f in report.failures] == [
+        "dominance.stored_ledger_matches",
+        "perturbation.stored_ledger_matches", "stored_ledger_matches"]
+
+
+def test_lp_flipped_transfer_bound_is_rejected(docs, tmp_path):
+    doc = copy.deepcopy(docs["zeroing"])
+    [entry] = [c for c in doc["perturbation"]["checks"]
+               if c["key"] == "transfer_bound_le_2"]
+    assert entry["passed"]
+    entry["passed"] = False
+    report = verify_certificate(doc)
+    assert [f.split(":")[0] for f in report.failures] == [
+        "perturbation.stored_ledger_matches"]
+    assert _verify_cli(tmp_path, doc) == 1
+
+
+def _set(path, value):
+    def tamper(doc):
+        node = doc
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+    return tamper
+
+
+@pytest.mark.parametrize("kind,path,value,key", [
+    ("exact", ("residuals", 0), 7, "residuals_matches"),
+    ("exact", ("cascade", "case_trace", 0, "L1"), 7, "cascade.trace_matches[1]"),
+    ("exact", ("cascade", "case_trace", 0, "bound"), 99,
+     "cascade.trace_matches[1]"),
+    ("exact", ("cascade", "final_pool"), [1], "cascade.final_pool_matches"),
+    ("zeroing", ("residuals", 1), 0.5, "residuals_matches"),
+    ("density_c0", ("selected",), [1, 2, 3, 4], "selected_matches"),
+    ("density_c0", ("distance",), 9, "distance_matches"),
+    ("density_c0", ("series_sum",), "1/3", "series_sum_matches"),
+    ("density_lp", ("distance",), 9, "distance_matches"),
+    ("density_lp", ("forbidden", 0), 1, "forbidden_matches"),
+    ("density_lp", ("eps_inner",), "1/512", "eps_inner_matches"),
+])
+def test_derived_field_tamper_is_rejected(docs, kind, path, value, key):
+    doc = copy.deepcopy(docs[kind])
+    _set(path, value)(doc)
+    report = verify_certificate(doc)
+    assert [f.split(":")[0] for f in report.failures] == [key]
+
+
+def test_c0_density_selected_and_distance_tamper_fails(docs, tmp_path):
+    doc = copy.deepcopy(docs["density_c0"])
+    doc["selected"] = [1, 2, 3, 4]
+    doc["distance"] = 9
+    assert not verify_certificate(doc).ok
+    assert _verify_cli(tmp_path, doc) == 1
+
+
+@pytest.mark.parametrize("kind", ["exact", "float", "zeroing", "dominance",
+                                  "density_lp", "density_c0", "lineability",
+                                  "witness"])
+def test_flipped_status_is_rejected(docs, kind, tmp_path):
+    doc = copy.deepcopy(docs[kind])
+    assert doc["status"] == "pass" and verify_certificate(doc).ok
+    doc["status"] = "fail"
+    report = verify_certificate(doc)
+    assert [f.split(":")[0] for f in report.failures] == ["status_matches"]
     assert _verify_cli(tmp_path, doc) == 1
