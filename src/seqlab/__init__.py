@@ -79,7 +79,7 @@ from .lp_construction import (
     construct_zeroed_sequence,
     small_perturbation_cert,
 )
-from .operators import ProjectionOp, idempotency_residual, operator_norm_lower_bound
+from .operators import ProjectionOp
 from .verify import VerifyReport, verify_certificate
 from .witnesses import (
     WitnessCert,

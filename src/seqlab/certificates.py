@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from .errors import MalformedCertificate
 from .scalar import Scalar, scalar_to_json
 
-SCHEMA_VERSION = 1
+#: Version 2: the lp zeroing Q ledger holds certified bounds, not samples.
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)

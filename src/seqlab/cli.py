@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import certificates
+from .certificates import SCHEMA_VERSION
 from .core import AmbientSpace, Seq, Subspace, combine, load_fixture
 from .errors import (
     ConfigError,
@@ -115,13 +116,12 @@ def run_scenario(scenario: Scenario) -> tuple[dict, int]:
             # the zeroing stage needs eps < 1/512; for larger admissible eps
             # (still < 4/33) only the dominant-sequence stage applies
             if 0 < eps < ZEROING_EPS_SUP:
-                cert = construct_zeroed_sequence(sub, eps, params["depth"],
-                                                 seed=params["seed"])
+                cert = construct_zeroed_sequence(sub, eps, params["depth"])
                 kind = "zeroing"
             else:
                 cert = construct_dominant_sequence(sub, eps, params["depth"])
                 kind = "dominance"
-            doc = {"schema_version": 1, "kind": kind,
+            doc = {"schema_version": SCHEMA_VERSION, "kind": kind,
                    "mode": "exact" if sub.exact else "float",
                    "fixture": scenario.name}
             doc.update(cert.as_json())
@@ -137,7 +137,7 @@ def run_scenario(scenario: Scenario) -> tuple[dict, int]:
                 sub, params["depth"], stab_tol=params["stab_tol"],
                 net_resolution=params["net_resolution"], seed=params["seed"],
                 samples=params["samples"], **kwargs)
-            doc = {"schema_version": 1, "kind": "sup_zeroing",
+            doc = {"schema_version": SCHEMA_VERSION, "kind": "sup_zeroing",
                    "mode": "exact" if sub.exact else "float",
                    "fixture": scenario.name}
             doc.update(cert.as_json())
@@ -148,7 +148,7 @@ def run_scenario(scenario: Scenario) -> tuple[dict, int]:
             source = certificates.load_certificate(params["cert"])
             cert = witness_from_doc(source, samples=params["samples"],
                                     seed=params["seed"])
-            doc = {"schema_version": 1, "kind": "witness"}
+            doc = {"schema_version": SCHEMA_VERSION, "kind": "witness"}
             doc.update(cert.as_json())
             doc["status"] = cert.status
             return doc, _doc_exit(doc)
@@ -165,12 +165,11 @@ def run_scenario(scenario: Scenario) -> tuple[dict, int]:
                                               stab_tol=params["stab_tol"])
             elif sub.ambient.kind == "lp":
                 _, report = density_repair_lp(sub, f_vec, params["eps"],
-                                              depth=params["depth"],
-                                              seed=params["seed"])
+                                              depth=params["depth"])
             else:
                 raise ConfigError(
                     "density: fixture space must be lp (finite p) or c0")
-            doc = {"schema_version": 1, "kind": "density",
+            doc = {"schema_version": SCHEMA_VERSION, "kind": "density",
                    "mode": "exact" if sub.exact else "float",
                    "fixture": scenario.name}
             doc.update(report)
@@ -180,7 +179,7 @@ def run_scenario(scenario: Scenario) -> tuple[dict, int]:
 
         raise ConfigError(f"unknown pipeline {scenario.pipeline!r}")
     except ModelLimitError as exc:
-        doc = {"schema_version": 1, "kind": "error",
+        doc = {"schema_version": SCHEMA_VERSION, "kind": "error",
                "error": type(exc).__name__, "detail": str(exc),
                "fixture": scenario.name, "status": "model-limit"}
         return doc, EXIT_MODEL_LIMIT

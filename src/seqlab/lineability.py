@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .certificates import checks_status, make_check
+from .certificates import SCHEMA_VERSION, checks_status, make_check
 from .core import AmbientSpace, Seq
 from .errors import ConfigError, DuplicateRatio, RatioOutOfRange
 from .scalar import scalar_to_json
@@ -208,7 +208,7 @@ def lineability_certificate(comb: GeometricCombination, t: int,
     rank = independence_rank(comb.ratios, max(t, len(comb.ratios)))
     checks = lineability_checks(comb, zeros, m, rank, scan_upto)
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "kind": "lineability",
         "mode": "exact",
         "truncation": t,

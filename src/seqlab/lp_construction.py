@@ -18,7 +18,8 @@ check with the values actually attained, so a verifier can recompute
 the whole story from raw coordinates.  Each ledger is built by one
 function (dominance_checks, perturbation_checks, zeroing_checks,
 q_checks) from the certificate's own data; the constructors emit its
-output and verify runs it on the stored vectors.
+output and verify runs it on the stored vectors.  The projection Q onto
+the family is certified exactly, not sampled (see operators).
 
 Index convention: lists are Python 0-based, marker/coordinate indices
 are 1-based (s_list[k-1] is the k-th marker s_k).
@@ -52,8 +53,8 @@ from .errors import (
     SearchExhausted,
     UnnormalizedBlock,
 )
-from .operators import ProjectionOp, idempotency_residual, operator_norm_lower_bound
-from .scalar import Scalar, zero_tol
+from .operators import ProjectionOp
+from .scalar import Scalar, scalar_to_json, zero_tol
 
 #: Strict upper bound for eps in the dominant-sequence construction.
 DOMINANT_EPS_SUP = Fraction(4, 33)
@@ -90,7 +91,7 @@ class DominanceCert:
     def as_json(self) -> dict:
         return {
             "space": self.space.as_json(),
-            "eps": _scalar_json(self.eps),
+            "eps": scalar_to_json(self.eps),
             "depth": self.depth,
             "s": list(self.s),
             "n_cut": list(self.n_cut),
@@ -98,7 +99,7 @@ class DominanceCert:
             "f_tilde": [v.as_json() for v in self.f_tilde],
             "g": [v.as_json() for v in self.g],
             "sigma": [list(w) for w in self.sigma],
-            "delta": _scalar_json(self.delta),
+            "delta": scalar_to_json(self.delta),
             "eta": self.eta,
             "checks": [c.as_json() for c in self.checks],
         }
@@ -131,16 +132,16 @@ class PerturbationCert:
 
     def as_json(self) -> dict:
         out = {
-            "k_const": _scalar_json(self.k_const),
-            "p_norm": _scalar_json(self.p_norm),
-            "delta": _scalar_json(self.delta),
+            "k_const": scalar_to_json(self.k_const),
+            "p_norm": scalar_to_json(self.p_norm),
+            "delta": scalar_to_json(self.delta),
             "ok": self.ok,
             "checks": [c.as_json() for c in self.checks],
         }
         for name in ("t_norm_bound", "basis_bound", "q_norm_bound",
                      "q_norm_bound_tight"):
             val = getattr(self, name)
-            out[name] = None if val is None else _scalar_json(val)
+            out[name] = None if val is None else scalar_to_json(val)
         return out
 
 
@@ -164,7 +165,6 @@ class ZeroingCert:
     q_op: Optional[ProjectionOp]
     checks: tuple
     eta: float
-    seed: int
 
     @property
     def status(self) -> str:
@@ -176,24 +176,18 @@ class ZeroingCert:
     def as_json(self) -> dict:
         return {
             "space": self.space.as_json(),
-            "eps": _scalar_json(self.eps),
+            "eps": scalar_to_json(self.eps),
             "depth": self.depth,
             "s": list(self.s),
             "l": [v.as_json() for v in self.l],
-            "residuals": [_scalar_json(r) for r in self.residuals],
+            "residuals": [scalar_to_json(r) for r in self.residuals],
             "iteration_depth": list(self.iteration_depth),
             "dominance": self.dominance.as_json(),
             "perturbation": self.perturbation.as_json(),
             "q_op": None if self.q_op is None else self.q_op.as_json(),
             "eta": self.eta,
-            "seed": self.seed,
             "checks": [c.as_json() for c in self.checks],
         }
-
-
-def _scalar_json(v):
-    from .scalar import scalar_to_json
-    return scalar_to_json(v)
 
 
 def _require_lp(space: AmbientSpace):
@@ -570,27 +564,24 @@ def zeroing_checks(space: AmbientSpace, s: Sequence[int],
     return checks
 
 
-def q_checks(q: ProjectionOp, f: Sequence[Seq], seed: int, q_bound,
-             fix_tol, eta: float) -> list:
-    """The projection evidence: Q fixes each f_k, a sampled idempotency
-    residual and, given q_bound, a sampled norm lower bound below it."""
-    checks = [make_check("q_fixes_family", [k],
-                         norm(q.apply(f_k).sub(f_k), q.space), "abs_le", 0,
-                         fix_tol)
-              for k, f_k in enumerate(f, start=1)]
-    checks.append(make_check("q_idempotent", [],
-                             idempotency_residual(q, trials=64, seed=seed),
-                             "abs_le", 0, fix_tol))
+def q_checks(q: ProjectionOp, q_bound, fix_tol, eta) -> list:
+    """The projection ledger, exact finite checks on the stored psi_j and
+    f_k (see operators): per k, a bound on |Q f_k - f_k|_p read from the
+    Gram matrix G_jk = psi_j(f_k), 0 exactly when G = I; a bound on
+    ||Q^2 - Q||; and, given q_bound, Schur's test bound on ||Q|| below
+    it."""
+    fixes, idem = q.fixed_point_bounds()
+    checks = [make_check("q_fixes_family", [k], fix, "abs_le", 0, fix_tol)
+              for k, fix in enumerate(fixes, start=1)]
+    checks.append(make_check("q_idempotent", [], idem, "abs_le", 0, fix_tol))
     if q_bound is not None:
-        checks.append(make_check("q_norm_sampled_le_bound", [],
-                                 operator_norm_lower_bound(q, trials=64, seed=seed),
-                                 "le", q_bound, eta))
+        checks.append(make_check("q_norm_certified_le_bound", [],
+                                 q.certified_norm_bound(), "le", q_bound, eta))
     return checks
 
 
 def construct_zeroed_sequence(subspace: Subspace, eps, depth: int,
                               eta: Optional[float] = None,
-                              seed: int = 0,
                               f1: Optional[Seq] = None) -> ZeroingCert:
     """Correct the dominant family until each vector vanishes at every
     marker except its own.
@@ -627,13 +618,13 @@ def construct_zeroed_sequence(subspace: Subspace, eps, depth: int,
                                   norm_upper=pert.q_norm_bound, eta=eta_v)
     if q_op is not None:
         fix_tol = max(eta_v, 1e-7) if not exact else tol
-        checks += q_checks(q_op, dom.f, seed, pert.q_norm_bound, fix_tol, eta_v)
+        checks += q_checks(q_op, pert.q_norm_bound, fix_tol, eta_v)
 
     return ZeroingCert(space=space, eps=eps, depth=depth, s=dom.s,
                        l=tuple(l_final), residuals=tuple(residuals),
                        iteration_depth=tuple(iter_depths), dominance=dom,
                        perturbation=pert, q_op=q_op, checks=tuple(checks),
-                       eta=eta_v, seed=seed)
+                       eta=eta_v)
 
 
 def basis_constant_lower_bound(family: Sequence[Seq], space: AmbientSpace,

@@ -12,9 +12,10 @@ constructor (``lineability``, ``lp_construction``, ``linf_construction``,
 ``witnesses``): verify runs the constructors' check functions on the
 stored data, compares each recomputed ledger (key, where, passed) with
 the stored one, and checks the stored top-level status against the
-recomputed ledgers.  What verify adds itself ties stored data to a
-rerun.  The witness ledger is sampled evidence that an exact check is
-to replace, so its verifier stays separate.
+recomputed ledgers.  What verify adds itself ties stored data (depths,
+derived fields, the vectors of the projection Q) to a rerun.  The
+witness ledger is sampled evidence that an exact check is to replace,
+so its verifier stays separate.
 
 Numerics: each stored lp vector is lifted once to an exact rational
 ``Seq`` (a stored double is a rational), so ``core.norm`` and
@@ -22,8 +23,9 @@ Numerics: each stored lp vector is lifted once to an exact rational
 single terminal rounding (exact p-th-power accumulation), independent
 of the float path that produced the certificate.  The zeroing
 recursions rerun the emitter's arithmetic on the stored vectors; the lp
-stages are lifted before their norms are taken.  Sup norms of stored
-doubles are exact as they are.
+stages are lifted before their norms are taken, and so is Q for its
+exact Gram matrix and norm bounds.  Sup norms of stored doubles are
+exact as they are.
 """
 from __future__ import annotations
 
@@ -192,8 +194,8 @@ def _verify_lineability(doc, ctx: _Ctx):
 # -- lp: dominance, perturbation, zeroing -----------------------------------
 
 def _verify_dominance(doc, ctx: _Ctx):
-    require(doc, "space", "eps", "s", "n_cut", "f", "f_tilde", "g", "sigma",
-            "delta", "eta", "checks")
+    require(doc, "space", "eps", "depth", "s", "n_cut", "f", "f_tilde", "g",
+            "sigma", "delta", "eta", "checks")
     space = AmbientSpace.from_json(doc["space"])
     eps = _scalar(doc["eps"])
     eta = float(doc["eta"])
@@ -208,6 +210,8 @@ def _verify_dominance(doc, ctx: _Ctx):
     ordered = s[0] == cuts[0] and all(cuts[k - 1] < s[k] < cuts[k]
                                       for k in range(1, len(s)))
     ctx.check("interleaving", [], 0 if ordered else 1, "eq", 0, 0)
+    depth_ok = int(doc["depth"]) == len(s) == len(f)
+    ctx.check("depth_matches", [], 0 if depth_ok else 1, "eq", 0, 0)
     g_exact = [v.lift() for v in g]
     checks, delta = dominance_checks(space, s, cuts, [v.lift() for v in f],
                                      [v.lift() for v in f_tilde], g_exact,
@@ -253,8 +257,8 @@ def _verify_perturbation(pert: dict, delta, ctx: _Ctx):
 
 
 def _verify_zeroing(doc, ctx: _Ctx):
-    require(doc, "space", "eps", "depth", "s", "l", "residuals", "dominance",
-            "perturbation", "eta", "checks")
+    require(doc, "space", "eps", "depth", "s", "l", "residuals",
+            "iteration_depth", "dominance", "perturbation", "eta", "checks")
     f, delta, space, eps_dom, tol = _verify_dominance(doc["dominance"],
                                                       ctx.sub("dominance"))
     eps = _scalar(doc["eps"])
@@ -280,10 +284,14 @@ def _verify_zeroing(doc, ctx: _Ctx):
     checks = zeroing_checks(space, s, lifted_stages(), ls, eps, q_bound, tol)
     if doc.get("q_op"):
         q = ProjectionOp.from_json(doc["q_op"], space)
+        same = [v.coords for v in q.vectors] == [v.coords for v in f]
+        ctx.check("q_vectors_match", [], 0 if same else 1, "eq", 0, 0)
         fix_tol = tol if f[0].exact else max(eta, 1e-7)
-        checks += q_checks(q, f, int(doc.get("seed", 0)), q_bound, fix_tol,
-                           eta)
+        checks += q_checks(q, q_bound, fix_tol, eta)
     ctx.ledger(doc["checks"], checks)
+    steps = [len(s) - k for k in range(1, len(s) + 1)]  # the recursion's
+    ctx.check("iteration_depth_matches", [],
+              0 if list(doc["iteration_depth"]) == steps else 1, "eq", 0, 0)
     rerun_tol = _rerun_tol(ls[0], eta)
     for k, (rerun, l_k) in enumerate(zip(reruns, ls), start=1):
         ctx.check("l_matches_recursion", [k], norm(l_k.sub(rerun), _SUP),

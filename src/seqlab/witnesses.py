@@ -29,7 +29,7 @@ from .errors import (
 from .linf_construction import SupZeroingCert, construct_sup_zeroed_sequence, \
     mazur_basic_sequence
 from .lp_construction import ZeroingCert, construct_zeroed_sequence
-from .operators import ProjectionOp, idempotency_residual, operator_norm_lower_bound
+from .operators import ProjectionOp
 from .scalar import Scalar, scalar_to_json, zero_tol
 
 SourceCert = Union[ZeroingCert, SupZeroingCert]
@@ -162,15 +162,16 @@ def witness_from_parts(family: list, markers: list, kind: str,
                        checks=tuple(checks), eta=eta)
 
 
-def complement_split(cert: ZeroingCert, trials: int = 200,
-                     seed: int = 0) -> tuple[ProjectionOp, dict]:
+def complement_split(cert: ZeroingCert) -> tuple[ProjectionOp, dict]:
     """Idempotent onto the even half of the zeroed span, via the marker
     biorthogonal functionals, composed with the projection evidence.
 
     chi_k(x) = x(s_k) / l_k(s_k) satisfies chi_k(l_j) = delta_kj thanks
     to the zero pattern, so E(x) = sum_{k even} chi_k(x) l_k is exactly
     the even split of the family projection; Q's perturbation evidence
-    must be present for the complementation story to stand.
+    must be present for the complementation story to stand.  The report
+    holds the certified bounds the Gram matrix chi_j(l_k) gives on
+    ||E^2 - E||, |E l_k - l_k| (k even), |E l_k| (k odd) and ||E||.
     """
     if not isinstance(cert, ZeroingCert):
         raise ConfigError("complement_split needs an lp zeroing certificate")
@@ -194,22 +195,18 @@ def complement_split(cert: ZeroingCert, trials: int = 200,
     split = ProjectionOp(tuple(functionals), tuple(vectors), cert.space)
 
     fix_tol = tol if exact else max(cert.eta, 1e-7)
-    idem = idempotency_residual(split, trials=trials, seed=seed)
-    sampled_norm = operator_norm_lower_bound(split, trials=trials, seed=seed)
-    fixes = max(float(norm(split.apply(v).sub(v), cert.space)) for v in vectors)
-    kills = max(float(norm(split.apply(family[k]), cert.space))
-                for k in range(0, len(family), 2))
+    fixes, idem = split.fixed_point_bounds()
+    kills = split.combination_bounds(zip(*split.gram(family[0::2])))
     report = {
-        "idempotency_residual": idem,
-        "sampled_norm_lower_bound": sampled_norm,
-        "even_fixed_max_residual": fixes,
-        "odd_killed_max_norm": kills,
+        "idempotency_bound": idem,
+        "certified_norm_bound": split.certified_norm_bound(),
+        "even_fixed_max_residual": max(fixes),
+        "odd_killed_max_norm": max(kills),
         "q_norm_bound": scalar_to_json(cert.perturbation.q_norm_bound),
-        "checks": [
-            make_check("split_idempotent", [], idem, "abs_le", 0, fix_tol).as_json(),
-            make_check("split_fixes_even", [], fixes, "abs_le", 0, fix_tol).as_json(),
-            make_check("split_kills_odd", [], kills, "abs_le", 0, fix_tol).as_json(),
-        ],
+        "checks": [make_check(key, [], value, "abs_le", 0, fix_tol).as_json()
+                   for key, value in (("split_idempotent", idem),
+                                      ("split_fixes_even", max(fixes)),
+                                      ("split_kills_odd", max(kills)))],
     }
     return split, report
 
@@ -254,8 +251,8 @@ def c0_density_checks(space: AmbientSpace, f: Seq, result: Seq,
 
 
 def density_repair_lp(subspace: Subspace, f: Seq, eps,
-                      depth: int = 4, eta: Optional[float] = None,
-                      seed: int = 0) -> tuple[Seq, dict]:
+                      depth: int = 4,
+                      eta: Optional[float] = None) -> tuple[Seq, dict]:
     """Repair f in an lp span: rerun the zeroing pipeline seeded with
     f/|f| and rescale its first corrected vector.
 
@@ -267,7 +264,7 @@ def density_repair_lp(subspace: Subspace, f: Seq, eps,
     scale = norm(f, subspace.ambient)
     eps_inner = min(eps, Fraction(1, 1024))
     cert = construct_zeroed_sequence(subspace, eps_inner, depth,
-                                     eta=eta_v, seed=seed, f1=f)
+                                     eta=eta_v, f1=f)
     result = cert.l[0].scale(scale)
     forbidden = list(cert.s[1:])
     checks, dist = lp_density_checks(subspace.ambient, f, result, forbidden,

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from seqlab.certificates import SCHEMA_VERSION
 from seqlab.core import AmbientSpace, Seq, norm
 from seqlab.errors import (
     CaseBoundViolated,
@@ -260,7 +261,7 @@ class TestSupZeroing:
             assert norm(cert.l[k - 1], LINF) <= 9
         # doubled-precision style independent re-check of the whole doc
         from seqlab.verify import verify_certificate
-        doc = {"schema_version": 1, "kind": "sup_zeroing"}
+        doc = {"schema_version": SCHEMA_VERSION, "kind": "sup_zeroing"}
         doc.update(cert.as_json())
         report = verify_certificate(doc)
         assert report.ok, report.first_failure()

@@ -1,10 +1,14 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from seqlab.core import AmbientSpace, Seq, norm
+from seqlab.certificates import SCHEMA_VERSION
+from seqlab.core import AmbientSpace, Seq, norm, subspace_from_json
 from seqlab.errors import (
     DimensionExhausted,
     EpsOutOfRange,
@@ -19,8 +23,7 @@ from seqlab.lp_construction import (
     construct_zeroed_sequence,
     small_perturbation_cert,
 )
-from seqlab.operators import operator_norm_lower_bound
-from conftest import unit_subspace
+from conftest import fixture_json, unit_subspace
 
 L2 = AmbientSpace.lp(2)
 
@@ -33,6 +36,41 @@ def dense_f1(t: int = 2000, dim: int = 40) -> Seq:
     for j in range(2, dim + 1):
         coords[j - 1] = 1e-4 * 0.5 ** (j - 2) * (1 if j % 3 else -1)
     return Seq(tuple(coords), False, 0.0)
+
+
+Q_CASES = ("l1_exact", "l3/2_dense", "l2_dense", "l3_dense", "l2_geometric",
+           "l2_spread")
+
+
+@functools.lru_cache(maxsize=None)
+def _q_case(name: str):
+    """A passing zeroing certificate for the Q property test: exact l1,
+    dense f1 at p = 3/2, 2 and 3, f1 a geometric generator in l2, and an
+    l2 f1 spread over 40 coordinates, whose certified bound needs the
+    Schur weights (unit weights give 3.6 > q_norm_bound)."""
+    if name == "l1_exact":
+        sub = unit_subspace(AmbientSpace.lp(1), 24, 120)
+        coords = [Fraction(0)] * 120
+        coords[0] = Fraction(1)
+        for j in range(2, 25):
+            coords[j - 1] = Fraction((-1) ** j, 5000 * 2 ** (j - 2))
+        f1 = Seq(tuple(coords), True, Fraction(0))
+    elif name == "l2_geometric":
+        gens = [{"kind": "unit", "index": j} for j in range(1, 21)]
+        gens.append({"kind": "geometric", "ratio": "1/2"})
+        sub = subspace_from_json(fixture_json({"kind": "lp", "p": 2}, 200,
+                                              gens))
+        f1 = sub.generators[-1]
+    elif name == "l2_spread":
+        sub = unit_subspace(L2, 80, 400)
+        f1 = Seq(tuple([1.0] + [0.16] * 39 + [0.0] * 360), False, 0.0)
+    else:
+        p = {"l3/2_dense": Fraction(3, 2), "l2_dense": 2, "l3_dense": 3}[name]
+        sub = unit_subspace(AmbientSpace.lp(p), 40, 400)
+        f1 = dense_f1(400, 40)
+    cert = construct_zeroed_sequence(sub, Fraction(1, 600), 4, f1=f1)
+    assert cert.status == "pass" and cert.q_op is not None
+    return cert
 
 
 class TestDominantSequence:
@@ -201,14 +239,36 @@ class TestZeroedSequence:
         cauchy = [c for c in cert.checks if c.key == "cauchy"]
         assert cauchy and all(c.passed for c in cauchy)
 
-    def test_q_projection_sampled_norm_within_bound(self, coord_l2_40):
-        cert = construct_zeroed_sequence(coord_l2_40, Fraction(1, 600), 4,
-                                         f1=dense_f1())
-        assert cert.q_op is not None
-        sampled = operator_norm_lower_bound(cert.q_op, trials=100, seed=3)
-        assert sampled <= float(cert.perturbation.q_norm_bound) + 1e-9
+    @given(name=st.sampled_from(Q_CASES), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_q_projection_sampled_norm_within_bound(self, name, data):
+        """|Qx|_p / |x|_p on random x, sparse or dense over the coordinates
+        Q reads, never exceeds the certified bound, which stays below the
+        perturbation certificate's q_norm_bound; Q fixes the family."""
+        cert = _q_case(name)
+        q = cert.q_op
+        bound = q.certified_norm_bound()
+        assert bound <= cert.perturbation.q_norm_bound
         for fk in cert.dominance.f:
-            assert norm(cert.q_op.apply(fk).sub(fk), L2) <= 1e-7
+            assert norm(q.apply(fk).sub(fk), q.space) <= (0 if q.exact
+                                                           else 1e-7)
+        support = sorted({j for v in q.functionals + q.vectors
+                          for j in v.support()})
+        entries = data.draw(st.lists(
+            st.tuples(st.sampled_from(support), st.integers(-64, 64)),
+            min_size=1, max_size=16))
+        if data.draw(st.booleans()):
+            rng = data.draw(st.randoms(use_true_random=False))
+            entries += [(j, rng.randint(-16, 16)) for j in support]
+        one = Fraction(1, 16) if q.exact else 1 / 16
+        coords = [0 * one] * len(q.vectors[0])
+        for j, a in entries:
+            coords[j - 1] += a * one
+        x = Seq(tuple(coords), q.exact, 0 * one)
+        nx = norm(x, q.space)
+        assume(nx > 0)
+        ratio = norm(q.apply(x), q.space) / nx
+        assert ratio <= (bound if q.exact else bound * (1 + 1e-9))
 
 
 class TestExactL1Pipeline:
@@ -242,7 +302,7 @@ class TestExactL1Pipeline:
         assert norm(acc, l1) == sum(abs(c) * norm(g, l1)
                                     for c, g in zip(coeffs, cert.dominance.g))
         from seqlab.verify import verify_certificate
-        doc = {"schema_version": 1, "kind": "zeroing"}
+        doc = {"schema_version": SCHEMA_VERSION, "kind": "zeroing"}
         doc.update(cert.as_json())
         rep = verify_certificate(doc)
         assert rep.ok, rep.first_failure()

@@ -293,3 +293,45 @@ def test_flipped_status_is_rejected(docs, kind, tmp_path):
     report = verify_certificate(doc)
     assert [f.split(":")[0] for f in report.failures] == ["status_matches"]
     assert _verify_cli(tmp_path, doc) == 1
+
+
+@pytest.mark.parametrize("kind,path,value,key", [
+    ("zeroing", ("dominance", "depth"), 99, "dominance.depth_matches"),
+    ("dominance", ("depth",), 99, "depth_matches"),
+    ("zeroing", ("iteration_depth",), [9, 9, 9, 9],
+     "iteration_depth_matches"),
+])
+def test_stored_depth_tamper_is_rejected(docs, kind, path, value, key,
+                                         tmp_path):
+    doc = copy.deepcopy(docs[kind])
+    _set(path, value)(doc)
+    report = verify_certificate(doc)
+    assert [f.split(":")[0] for f in report.failures] == [key]
+    assert _verify_cli(tmp_path, doc) == 1
+
+
+def _tamper_psi_coordinate(doc):
+    # psi_2 at f_2's marker: G_22 = psi_2(f_2) is no longer 1
+    doc["q_op"]["functionals"][1]["coords"][doc["s"][1] - 1] += 0.5
+
+
+def _tamper_psi_scale(doc):
+    for psi in doc["q_op"]["functionals"]:
+        psi["coords"] = [3 * v for v in psi["coords"]]
+
+
+def _tamper_q_vector(doc):
+    doc["q_op"]["vectors"][0]["coords"][doc["s"][0] - 1] += 0.5
+
+
+@pytest.mark.parametrize("tamper,key", [
+    (_tamper_psi_coordinate, "q_fixes_family"),
+    (_tamper_psi_scale, "q_norm_certified_le_bound"),
+    (_tamper_q_vector, "q_vectors_match"),
+])
+def test_q_op_tamper_is_rejected(docs, tamper, key, tmp_path):
+    doc = copy.deepcopy(docs["zeroing"])
+    tamper(doc)
+    report = verify_certificate(doc)
+    assert key in {f.split(":")[0].split("[")[0] for f in report.failures}
+    assert _verify_cli(tmp_path, doc) == 1
