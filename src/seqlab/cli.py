@@ -121,12 +121,8 @@ def run_scenario(scenario: Scenario) -> tuple[dict, int]:
             else:
                 cert = construct_dominant_sequence(sub, eps, params["depth"])
                 kind = "dominance"
-            doc = {"schema_version": SCHEMA_VERSION, "kind": kind,
-                   "mode": "exact" if sub.exact else "float",
-                   "fixture": scenario.name}
-            doc.update(cert.as_json())
-            doc["status"] = cert.status
-            return doc, _doc_exit(doc)
+            return _document(kind, cert.as_json(), cert.status, sub,
+                             scenario.name)
 
         if scenario.pipeline == "linf":
             sub = load_fixture(scenario.fixture, mode=params["mode"])
@@ -137,21 +133,14 @@ def run_scenario(scenario: Scenario) -> tuple[dict, int]:
                 sub, params["depth"], stab_tol=params["stab_tol"],
                 net_resolution=params["net_resolution"], seed=params["seed"],
                 samples=params["samples"], **kwargs)
-            doc = {"schema_version": SCHEMA_VERSION, "kind": "sup_zeroing",
-                   "mode": "exact" if sub.exact else "float",
-                   "fixture": scenario.name}
-            doc.update(cert.as_json())
-            doc["status"] = cert.status
-            return doc, _doc_exit(doc)
+            return _document("sup_zeroing", cert.as_json(), cert.status, sub,
+                             scenario.name)
 
         if scenario.pipeline == "witness":
             source = certificates.load_certificate(params["cert"])
             cert = witness_from_doc(source, samples=params["samples"],
                                     seed=params["seed"])
-            doc = {"schema_version": SCHEMA_VERSION, "kind": "witness"}
-            doc.update(cert.as_json())
-            doc["status"] = cert.status
-            return doc, _doc_exit(doc)
+            return _document("witness", cert.as_json(), cert.status)
 
         if scenario.pipeline == "density":
             if not params["eps"] > 0:
@@ -169,13 +158,9 @@ def run_scenario(scenario: Scenario) -> tuple[dict, int]:
             else:
                 raise ConfigError(
                     "density: fixture space must be lp (finite p) or c0")
-            doc = {"schema_version": SCHEMA_VERSION, "kind": "density",
-                   "mode": "exact" if sub.exact else "float",
-                   "fixture": scenario.name}
-            doc.update(report)
-            doc["status"] = ("pass" if all(c["passed"] for c in report["checks"])
-                             else "fail")
-            return doc, _doc_exit(doc)
+            status = ("pass" if all(c["passed"] for c in report["checks"])
+                      else "fail")
+            return _document("density", report, status, sub, scenario.name)
 
         raise ConfigError(f"unknown pipeline {scenario.pipeline!r}")
     except ModelLimitError as exc:
@@ -183,6 +168,16 @@ def run_scenario(scenario: Scenario) -> tuple[dict, int]:
                "error": type(exc).__name__, "detail": str(exc),
                "fixture": scenario.name, "status": "model-limit"}
         return doc, EXIT_MODEL_LIMIT
+
+
+def _document(kind: str, body: dict, status: str, sub=None, name=None):
+    """A certificate document and its exit code: the schema header, the
+    fixture's mode and name when there is one, the body and the status."""
+    doc = {"schema_version": SCHEMA_VERSION, "kind": kind}
+    if sub is not None:
+        doc.update(mode="exact" if sub.exact else "float", fixture=name)
+    doc.update(body, status=status)
+    return doc, _doc_exit(doc)
 
 
 def _apply_space_override(sub: Subspace, params: dict) -> Subspace:
@@ -223,13 +218,11 @@ def _density_target(sub: Subspace, params: dict) -> Seq:
     return combine(list(sub.generators), list(coeffs))
 
 
-def _add_common(parser, *, fixture=True, multi_fixture=False):
-    if fixture:
-        parser.add_argument("--fixture", action="append", required=True,
-                            help="fixture JSON path (repeatable)")
+def _add_common(parser):
+    parser.add_argument("--fixture", action="append", required=True,
+                        help="fixture JSON path (repeatable)")
     parser.add_argument("--mode", choices=["exact", "float", "auto"],
                         default="auto")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None,
                         help="output path (default stdout); a directory "
                              "when several fixtures are given")
@@ -272,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_linf.add_argument("--k-est", default=None,
                         help="basis-constant estimate (default: sampled)")
     p_linf.add_argument("--samples", type=int, default=200)
+    p_linf.add_argument("--seed", type=int, default=0)
     _add_common(p_linf)
 
     p_wit = sub.add_parser("witness", help="even/odd spaceability witness "
@@ -289,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="combination over the fixture generators "
                             "(default: seeded random)")
     p_den.add_argument("--stab-tol", default="1/1000000")
+    p_den.add_argument("--seed", type=int, default=0)
     _add_common(p_den)
 
     p_ver = sub.add_parser("verify", help="re-check a certificate from raw "
@@ -316,8 +311,8 @@ def _scenarios_from_args(args) -> list[Scenario]:
         p_val = _parse_rational(args.p, "--p") if args.p else None
         return [Scenario(name=_stem(path), pipeline="lp", fixture=path,
                          params={"eps": eps, "depth": args.depth,
-                                 "mode": args.mode, "seed": args.seed,
-                                 "space": args.space, "p": p_val})
+                                 "mode": args.mode, "space": args.space,
+                                 "p": p_val})
                 for path in args.fixture]
     if args.command == "construct-linf":
         return [Scenario(name=_stem(path), pipeline="linf", fixture=path,

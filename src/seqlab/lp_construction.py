@@ -54,7 +54,7 @@ from .errors import (
     UnnormalizedBlock,
 )
 from .operators import ProjectionOp
-from .scalar import Scalar, scalar_to_json, zero_tol
+from .scalar import Scalar, zero_tol
 
 #: Strict upper bound for eps in the dominant-sequence construction.
 DOMINANT_EPS_SUP = Fraction(4, 33)
@@ -91,7 +91,7 @@ class DominanceCert:
     def as_json(self) -> dict:
         return {
             "space": self.space.as_json(),
-            "eps": scalar_to_json(self.eps),
+            "eps": _scalar_json(self.eps),
             "depth": self.depth,
             "s": list(self.s),
             "n_cut": list(self.n_cut),
@@ -99,7 +99,7 @@ class DominanceCert:
             "f_tilde": [v.as_json() for v in self.f_tilde],
             "g": [v.as_json() for v in self.g],
             "sigma": [list(w) for w in self.sigma],
-            "delta": scalar_to_json(self.delta),
+            "delta": _scalar_json(self.delta),
             "eta": self.eta,
             "checks": [c.as_json() for c in self.checks],
         }
@@ -132,16 +132,16 @@ class PerturbationCert:
 
     def as_json(self) -> dict:
         out = {
-            "k_const": scalar_to_json(self.k_const),
-            "p_norm": scalar_to_json(self.p_norm),
-            "delta": scalar_to_json(self.delta),
+            "k_const": _scalar_json(self.k_const),
+            "p_norm": _scalar_json(self.p_norm),
+            "delta": _scalar_json(self.delta),
             "ok": self.ok,
             "checks": [c.as_json() for c in self.checks],
         }
         for name in ("t_norm_bound", "basis_bound", "q_norm_bound",
                      "q_norm_bound_tight"):
             val = getattr(self, name)
-            out[name] = None if val is None else scalar_to_json(val)
+            out[name] = None if val is None else _scalar_json(val)
         return out
 
 
@@ -176,11 +176,11 @@ class ZeroingCert:
     def as_json(self) -> dict:
         return {
             "space": self.space.as_json(),
-            "eps": scalar_to_json(self.eps),
+            "eps": _scalar_json(self.eps),
             "depth": self.depth,
             "s": list(self.s),
             "l": [v.as_json() for v in self.l],
-            "residuals": [scalar_to_json(r) for r in self.residuals],
+            "residuals": [_scalar_json(r) for r in self.residuals],
             "iteration_depth": list(self.iteration_depth),
             "dominance": self.dominance.as_json(),
             "perturbation": self.perturbation.as_json(),
@@ -188,6 +188,11 @@ class ZeroingCert:
             "eta": self.eta,
             "checks": [c.as_json() for c in self.checks],
         }
+
+
+def _scalar_json(v):
+    from .scalar import scalar_to_json
+    return scalar_to_json(v)
 
 
 def _require_lp(space: AmbientSpace):

@@ -289,7 +289,7 @@ def _verify_zeroing(doc, ctx: _Ctx):
         fix_tol = tol if f[0].exact else max(eta, 1e-7)
         checks += q_checks(q, q_bound, fix_tol, eta)
     ctx.ledger(doc["checks"], checks)
-    steps = [len(s) - k for k in range(1, len(s) + 1)]  # the recursion's
+    steps = [len(s) - k for k in range(1, len(s) + 1)]
     ctx.check("iteration_depth_matches", [],
               0 if list(doc["iteration_depth"]) == steps else 1, "eq", 0, 0)
     rerun_tol = _rerun_tol(ls[0], eta)

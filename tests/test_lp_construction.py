@@ -139,6 +139,31 @@ class TestBlockProjection:
             assert norm(px, L2) <= norm(x, L2) + 1e-12
             assert norm(p_op.apply(px).sub(px), L2) <= 1e-12
 
+    @given(p=st.sampled_from([Fraction(4, 3), Fraction(3, 2), Fraction(5, 2),
+                              Fraction(3)]),
+           blocks=st.lists(st.lists(st.floats(-1, 1).filter(
+               lambda v: abs(v) >= 0.01), min_size=1, max_size=6),
+               min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_certified_bound_not_below_gram_diagonal(self, p, blocks):
+        """P g_k = psi_k(g_k) g_k for disjoint blocks, so ||P||_{p->p} >=
+        |psi_k(g_k)| exactly; the certified bound, whose float steps round
+        up, never falls below that."""
+        pf = float(p)
+        t = sum(map(len, blocks))
+        g, sigma = [], []
+        for vals in blocks:
+            lo = sigma[-1][1] + 1 if sigma else 1
+            scale = sum(abs(v) ** pf for v in vals) ** (1 / pf)
+            coords = [0.0] * t
+            coords[lo - 1:lo - 1 + len(vals)] = [v / scale for v in vals]
+            g.append(Seq(tuple(coords), False, 0.0))
+            sigma.append((lo, lo + len(vals) - 1))
+        p_op = block_projection(g, sigma, p)
+        gram = p_op.gram()
+        assert p_op.certified_norm_bound() >= max(abs(gram[k][k])
+                                                  for k in range(len(g)))
+
     def test_window_validation(self):
         g = [Seq.unit(1, 4, True), Seq.unit(2, 4, True)]
         with pytest.raises(OverlappingWindows):

@@ -40,7 +40,7 @@ def docs(tmp_path_factory):
     doc, code = run_scenario(Scenario(
         name="l2", pipeline="lp", fixture=str(fix),
         params={"eps": Fraction(1, 600), "depth": 4, "mode": "auto",
-                "seed": 11, "space": None, "p": None}))
+                "space": None, "p": None}))
     assert code == 0
     out["zeroing"] = json.loads(dumps_canonical(doc))
     lp = {"eps": Fraction(1, 100), "depth": 4, "mode": "auto", "seed": 11,
