@@ -10,6 +10,11 @@ Two scalar modes coexist: exact ``Fraction`` coordinates (the sup norm
 and the l1 norm stay rational) and ``float`` coordinates for general
 lp.  A workspace never mixes modes.
 
+Exact ``Seq`` arithmetic and all norm sums skip zero coordinates, so
+mostly-zero vectors cost in proportion to their nonzeros, bit for bit as
+a full loop.  Float ``add``/``sub``/``scale`` run every coordinate: a
+skip would not keep signed zeros (-0.0 - -0.0 is 0.0).
+
 All values are immutable after construction; every function here is
 pure, so callers may share objects freely across threads.
 """
@@ -32,7 +37,6 @@ from .errors import (
 from .scalar import (
     DEFAULT_ETA,
     Scalar,
-    abs_pow,
     check_finite,
     parse_scalar,
     scalar_to_json,
@@ -132,22 +136,30 @@ class Seq:
 
     def add(self, other: "Seq") -> "Seq":
         _check_lengths(self, other)
-        return Seq(tuple(a + b for a, b in zip(self.coords, other.coords)),
-                   self.exact and other.exact,
-                   self.tail_bound + other.tail_bound)
+        exact = self.exact and other.exact
+        pairs = zip(self.coords, other.coords)
+        coords = (tuple((a + b if a else b) if b else a for a, b in pairs)
+                  if exact else tuple(a + b for a, b in pairs))
+        return Seq(coords, exact, self.tail_bound + other.tail_bound)
 
     def sub(self, other: "Seq") -> "Seq":
         _check_lengths(self, other)
-        return Seq(tuple(a - b for a, b in zip(self.coords, other.coords)),
-                   self.exact and other.exact,
-                   self.tail_bound + other.tail_bound)
+        exact = self.exact and other.exact
+        pairs = zip(self.coords, other.coords)
+        coords = (tuple(a - b if b else a for a, b in pairs)
+                  if exact else tuple(a - b for a, b in pairs))
+        return Seq(coords, exact, self.tail_bound + other.tail_bound)
 
     def scale(self, a: Scalar) -> "Seq":
         exact = self.exact and isinstance(a, (Fraction, int))
-        return Seq(tuple(a * v for v in self.coords), exact, abs(a) * self.tail_bound)
+        coords = (tuple(a * v if v else v for v in self.coords) if exact
+                  else tuple(a * v for v in self.coords))
+        return Seq(coords, exact, abs(a) * self.tail_bound)
 
     def abs_coords(self) -> "Seq":
-        return Seq(tuple(abs(v) for v in self.coords), self.exact, self.tail_bound)
+        coords = (tuple(abs(v) if v else v for v in self.coords) if self.exact
+                  else tuple(abs(v) for v in self.coords))
+        return Seq(coords, self.exact, self.tail_bound)
 
     def restrict(self, window: tuple[int, int]) -> "Seq":
         """Zero out everything outside the 1-based inclusive window."""
@@ -192,7 +204,10 @@ class Seq:
     @classmethod
     def from_json(cls, obj: dict) -> "Seq":
         exact = bool(obj.get("exact", False))
-        coords = tuple(parse_scalar(v, exact) for v in obj["coords"])
+        coords = tuple(v if type(v) is float and not exact
+                       else parse_scalar(v, exact) for v in obj["coords"])
+        if not exact:  # JSON floats are kept as they are: one finiteness pass
+            _check_finite_coords(coords)
         tail = parse_scalar(obj.get("tail_bound", 0), exact)
         return cls(coords, exact, tail)
 
@@ -221,6 +236,13 @@ def _check_lengths(x: Seq, y: Seq):
         raise LengthMismatch(f"lengths differ: {len(x)} vs {len(y)}")
 
 
+def _check_finite_coords(coords) -> None:
+    """Raise NonFiniteCoordinate on the first NaN or infinite coordinate."""
+    if not all(map(math.isfinite, coords)):
+        for v in coords:
+            check_finite(v)
+
+
 def norm(x: Seq, space: AmbientSpace) -> Scalar:
     """The space's norm of the truncation (tail_bound not included).
 
@@ -228,13 +250,13 @@ def norm(x: Seq, space: AmbientSpace) -> Scalar:
     returns a float.  Raises NonFiniteCoordinate on NaN/inf input.
     """
     if not x.exact:
-        for v in x.coords:
-            check_finite(v)
+        _check_finite_coords(x.coords)
     if space.is_sup:
         return max((abs(v) for v in x.coords), default=Fraction(0) if x.exact else 0.0)
     p = space.p
     if p == 1:
-        return sum((abs(v) for v in x.coords), Fraction(0) if x.exact else 0.0)
+        return sum((abs(v) for v in x.coords if v),
+                   Fraction(0) if x.exact else 0.0)
     total = norm_pth_power(x, space)
     return float(total) ** (1.0 / float(p))
 
@@ -249,9 +271,8 @@ def norm_pth_power(x: Seq, space: AmbientSpace) -> Scalar:
     p = space.integer_p
     if p is not None and x.exact:
         return sum((abs(v) ** p for v in x.coords if v), Fraction(0))
-    if p is not None:
-        return sum((abs_pow(v, p) for v in x.coords), 0.0)
-    return sum(float(abs(v)) ** float(space.p) for v in x.coords)
+    p = float(space.p)  # a Fraction's ** p is float(|v|) ** p
+    return sum((abs(v) ** p for v in x.coords if v), 0.0)
 
 
 def hadamard(x: Seq, y: Seq) -> Seq:

@@ -59,10 +59,3 @@ def scalar_to_json(value: Scalar):
         return f"{value}/1"
     return float(value)
 
-
-def abs_pow(value: Scalar, p: Scalar) -> Scalar:
-    """|value|**p, staying exact when both value and integer p are exact."""
-    a = abs(value)
-    if isinstance(a, Fraction) and isinstance(p, (int, Fraction)) and Fraction(p).denominator == 1:
-        return a ** int(Fraction(p))
-    return float(a) ** float(p)

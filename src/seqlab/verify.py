@@ -13,9 +13,9 @@ constructor (``lineability``, ``lp_construction``, ``linf_construction``,
 stored data, compares each recomputed ledger (key, where, passed) with
 the stored one, and checks the stored top-level status against the
 recomputed ledgers.  What verify adds itself ties stored data (depths,
-derived fields, the vectors of the projection Q) to a rerun.  The
-witness ledger is sampled evidence that an exact check is to replace,
-so its verifier stays separate.
+derived fields, the vectors and norm bound of the projection Q) to a
+rerun.  The witness ledger is sampled evidence that an exact check is
+to replace, so its verifier stays separate.
 
 Numerics: each stored lp vector is lifted once to an exact rational
 ``Seq`` (a stored double is a rational), so ``core.norm`` and
@@ -25,7 +25,9 @@ of the float path that produced the certificate.  The zeroing
 recursions rerun the emitter's arithmetic on the stored vectors; the lp
 stages are lifted before their norms are taken, and so is Q for its
 exact Gram matrix and norm bounds.  Sup norms of stored doubles are
-exact as they are.
+exact as they are.  Exact arithmetic skips zero coordinates, so a lifted
+vector costs in proportion to its nonzeros; the float reruns take every
+coordinate, as the emitter did, to keep its signed zeros.
 """
 from __future__ import annotations
 
@@ -286,6 +288,8 @@ def _verify_zeroing(doc, ctx: _Ctx):
         q = ProjectionOp.from_json(doc["q_op"], space)
         same = [v.coords for v in q.vectors] == [v.coords for v in f]
         ctx.check("q_vectors_match", [], 0 if same else 1, "eq", 0, 0)
+        ctx.check("q_norm_upper_matches", [],
+                  0 if q.norm_upper == q_bound else 1, "eq", 0, 0)
         fix_tol = tol if f[0].exact else max(eta, 1e-7)
         checks += q_checks(q, q_bound, fix_tol, eta)
     ctx.ledger(doc["checks"], checks)

@@ -1,3 +1,6 @@
+import json
+import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from seqlab.core import (
     hadamard,
     norm,
     normalize,
+    norm_pth_power,
     subspace_from_json,
     tail_norm,
     vanish_at,
@@ -274,3 +278,150 @@ class TestNormalizeCombine:
         c = combine([a, b], [Fraction(2), Fraction(-1)])
         assert c.coords == (Fraction(2), Fraction(-1))
         assert c.tail_bound == 2 * Fraction(1, 8) + Fraction(1, 4)
+
+
+# -- the vector kernel against its dense definitions -------------------------
+#
+# Exact arithmetic skips zero coordinates and the float norms sum over the
+# nonzero ones; both must give what a full loop over every coordinate gives.
+
+@st.composite
+def exact_pairs(draw):
+    """Two exact vectors of one length, sparse (about 1 in 4 nonzero) or
+    dense, with exact tail bounds."""
+    n = draw(st.integers(1, 24))
+    sparse = draw(st.booleans())
+
+    def vector():
+        vals = draw(st.lists(rational, min_size=n, max_size=n))
+        if sparse:
+            keep = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+            vals = [v if k == 0 else Fraction(0) for v, k in zip(vals, keep)]
+        tail = draw(st.fractions(min_value=0, max_value=2, max_denominator=16))
+        return Seq(tuple(vals), True, tail)
+
+    return vector(), vector()
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# finite doubles with many (signed) zeros, subnormals and huge values
+float_coord = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -1.5e-310, 1e154, -1e154, 1e200, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def old_pth_power(coords, p):
+    """The p-th-power sum as taken before zero coordinates were skipped:
+    every coordinate, float(|v|) ** float(p)."""
+    return sum((float(abs(v)) ** float(p) for v in coords), 0.0)
+
+
+class TestKernel:
+    @given(pair=exact_pairs(), a=rational)
+    @settings(max_examples=100, deadline=None)
+    def test_exact_ops_equal_dense_reference(self, pair, a):
+        x, y = pair
+        cases = [
+            (x.add(y), [u + v for u, v in zip(x.coords, y.coords)]),
+            (x.sub(y), [u - v for u, v in zip(x.coords, y.coords)]),
+            (x.scale(a), [a * u for u in x.coords]),
+            (x.abs_coords(), [abs(u) for u in x.coords]),
+        ]
+        for got, want in cases:
+            assert got.exact
+            assert list(got.coords) == want
+            assert all(type(v) is Fraction for v in got.coords)
+        assert x.add(y).tail_bound == x.tail_bound + y.tail_bound
+        assert x.sub(y).tail_bound == x.tail_bound + y.tail_bound
+        assert x.scale(a).tail_bound == abs(a) * x.tail_bound
+
+    @given(x=st.lists(float_coord, min_size=1, max_size=30),
+           y=st.lists(float_coord, min_size=1, max_size=30),
+           a=float_coord)
+    @settings(max_examples=200, deadline=None)
+    def test_float_ops_keep_ieee_bits(self, x, y, a):
+        n = min(len(x), len(y))
+        u, v = Seq(tuple(x[:n]), False, 0.0), Seq(tuple(y[:n]), False, 0.0)
+        cases = [
+            (u.add(v), [b + c for b, c in zip(u.coords, v.coords)]),
+            (u.sub(v), [b - c for b, c in zip(u.coords, v.coords)]),
+            (u.scale(a), [a * b for b in u.coords]),
+            (u.abs_coords(), [abs(b) for b in u.coords]),
+        ]
+        for got, want in cases:
+            assert [bits(b) for b in got.coords] == [bits(c) for c in want]
+
+    def test_float_signed_zeros(self):
+        u = Seq((0.0, -0.0, 0.0, -0.0), False, 0.0)
+        v = Seq((-0.0, -0.0, 0.0, 0.0), False, 0.0)
+        assert [bits(b) for b in u.sub(v).coords] == [
+            bits(0.0), bits(0.0), bits(0.0), bits(-0.0)]
+        assert [bits(b) for b in u.add(v).coords] == [
+            bits(0.0), bits(-0.0), bits(0.0), bits(0.0)]
+
+    @pytest.mark.parametrize("p", [1, Fraction(3, 2), 2, 3])
+    @given(x=st.lists(float_coord, min_size=1, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_float_norms_equal_old_formula(self, p, x):
+        space = AmbientSpace.lp(p)
+        v = Seq(tuple(x), False, 0.0)
+        try:
+            want = old_pth_power(x, p)
+        except OverflowError:  # a single |v| ** p beyond the doubles
+            with pytest.raises(OverflowError):
+                norm_pth_power(v, space)
+            return
+        assert bits(norm_pth_power(v, space)) == bits(want)
+        if p == 1:
+            want_norm = sum((abs(c) for c in x), 0.0)
+        else:
+            want_norm = float(want) ** (1.0 / float(p))
+        assert bits(norm(v, space)) == bits(want_norm)
+
+    @given(x=st.lists(float_coord, min_size=1, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_lifted_non_integer_p_equals_old_formula(self, x):
+        space = AmbientSpace.lp(Fraction(3, 2))
+        lifted = Seq(tuple(x), False, 0.0).lift()
+        try:
+            want = old_pth_power(lifted.coords, space.p)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                norm_pth_power(lifted, space)
+            return
+        assert bits(norm_pth_power(lifted, space)) == bits(want)
+
+    def test_sum_overflows_to_inf(self):
+        v = Seq((1e154, 0.0, 1e154, -1e154) + (0.0,) * 8, False, 0.0)
+        assert norm_pth_power(v, L2) == old_pth_power(v.coords, 2) == math.inf
+        assert norm(v, L2) == math.inf
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("space", [L1, AmbientSpace.lp(Fraction(3, 2)),
+                                       L2, LINF])
+    def test_norm_rejects_non_finite(self, bad, space):
+        v = Seq((0.0,) * 50 + (bad,) + (1.0,), False, 0.0)
+        with pytest.raises(NonFiniteCoordinate):
+            norm(v, space)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("exact", ["false", "true"])
+    def test_from_json_rejects_non_finite(self, text, exact):
+        obj = json.loads(f'{{"coords": [0.0, 1.5, {text}, 0.0], '
+                         f'"exact": {exact}, "tail_bound": 0}}')
+        with pytest.raises(NonFiniteCoordinate):
+            Seq.from_json(obj)
+
+    def test_from_json_float_mode_values(self):
+        x = Seq.from_json({"coords": [1, "1/4", 0.5, -0.0], "exact": False,
+                           "tail_bound": "1/8"})
+        assert [bits(v) for v in x.coords] == [bits(1.0), bits(0.25),
+                                               bits(0.5), bits(-0.0)]
+        assert x.tail_bound == 0.125 and not x.exact
+        with pytest.raises(ConfigError):
+            Seq.from_json({"coords": [0.5, True], "exact": False})

@@ -335,3 +335,25 @@ def test_q_op_tamper_is_rejected(docs, tamper, key, tmp_path):
     report = verify_certificate(doc)
     assert key in {f.split(":")[0].split("[")[0] for f in report.failures}
     assert _verify_cli(tmp_path, doc) == 1
+
+
+@pytest.mark.parametrize("kind,node,key", [
+    ("zeroing", (), "q_norm_upper_matches"),
+    ("density_lp", ("zeroing",), "zeroing.q_norm_upper_matches"),
+])
+@pytest.mark.parametrize("value", [99, None])
+def test_q_norm_upper_tamper_is_rejected(docs, kind, node, key, value,
+                                         tmp_path):
+    # the stored Q norm bound must be the perturbation's q_norm_bound
+    doc = copy.deepcopy(docs[kind])
+    q_op = doc
+    for part in node + ("q_op",):
+        q_op = q_op[part]
+    assert q_op["norm_upper"] is not None
+    if value is None:
+        del q_op["norm_upper"]
+    else:
+        q_op["norm_upper"] = value
+    report = verify_certificate(doc)
+    assert [f.split(":")[0] for f in report.failures] == [key]
+    assert _verify_cli(tmp_path, doc) == 1
