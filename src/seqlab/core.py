@@ -10,10 +10,11 @@ Two scalar modes coexist: exact ``Fraction`` coordinates (the sup norm
 and the l1 norm stay rational) and ``float`` coordinates for general
 lp.  A workspace never mixes modes.
 
-Exact ``Seq`` arithmetic and all norm sums skip zero coordinates, so
-mostly-zero vectors cost in proportion to their nonzeros, bit for bit as
-a full loop.  Float ``add``/``sub``/``scale`` run every coordinate: a
-skip would not keep signed zeros (-0.0 - -0.0 is 0.0).
+Exact ``Seq`` arithmetic, exact ``combine`` and all norm sums skip zero
+coordinates, so mostly-zero vectors cost in proportion to their
+nonzeros, bit for bit as a full loop.  Float ``add``/``sub``/``scale``
+and ``combine`` run every coordinate: a skip would not keep signed zeros
+(-0.0 - -0.0 is 0.0) or NaNs (inf * 0.0).
 
 All values are immutable after construction; every function here is
 pure, so callers may share objects freely across threads.
@@ -312,7 +313,11 @@ def tail_norm(x: Seq, n: int, space: AmbientSpace) -> Scalar:
 
 
 def combine(basis: Sequence[Seq], coeffs: Sequence[Scalar]) -> Seq:
-    """Linear combination sum(c_i * b_i) with triangle-inequality tail bound."""
+    """Linear combination sum(c_i * b_i) with triangle-inequality tail bound.
+
+    Exact mode skips zero coordinates, as exact Seq arithmetic does; float
+    mode runs every coordinate (inf * 0.0 is NaN, not a skip).
+    """
     if len(basis) != len(coeffs):
         raise LengthMismatch(f"{len(basis)} vectors vs {len(coeffs)} coefficients")
     if not basis:
@@ -326,8 +331,13 @@ def combine(basis: Sequence[Seq], coeffs: Sequence[Scalar]) -> Seq:
     for c, b in zip(coeffs, basis):
         if c == 0:
             continue
-        for j, v in enumerate(b.coords):
-            acc[j] += c * v
+        if exact:
+            for j, v in enumerate(b.coords):
+                if v:
+                    acc[j] += c * v
+        else:
+            for j, v in enumerate(b.coords):
+                acc[j] += c * v
         tail += abs(c) * b.tail_bound
     if not exact:
         acc = [float(v) for v in acc]

@@ -17,7 +17,11 @@ zeroed coordinate to the shrinking working subspace.
 Scans that read one number from each combination and drop it (the net,
 the ratio ascent, the sampled basis inequality) run in exact mode on
 integer numerators over one common denominator (``core.scan_rows``);
-only the vectors a construction keeps become Fractions.
+only the vectors a construction keeps become Fractions.  The sampled
+basis-inequality margins stay integer numerators over one denominator
+per prefix pair, and become one Fraction per pair at the end; a float
+eps in exact mode makes those margins floats, so it keeps the scalar
+arithmetic.
 """
 from __future__ import annotations
 
@@ -241,8 +245,9 @@ def extract_stabilizing_subsequence(g1: Seq, g2: Seq, m: Sequence[int],
 # ---------------------------------------------------------------------------
 
 def _sup(v: Seq) -> Scalar:
-    return max((abs(c) for c in v.coords),
-               default=Fraction(0) if v.exact else 0.0)
+    if v.exact:
+        return max((abs(c) for c in v.coords if c), default=Fraction(0))
+    return max((abs(c) for c in v.coords), default=0.0)
 
 
 def _constrained_basis(subspace: Subspace, constraints: Sequence[int], tol):
@@ -330,8 +335,13 @@ def sample_basis_inequality(f_list: Sequence[Seq], eps_seq: Sequence,
 
     Uses its own seeded rng (independent of construction draws) so a
     verifier can regenerate the identical sample stream.  Exact-mode
-    coefficients are k/16, so a prefix sup is max|Y| / (16 D) on the
-    scan rows.
+    coefficients are k/16, so a prefix sup is Y / (16 D) for the integer
+    Y = max|.| of a scan row.  When every product
+    c_i = prod_{j<=i}(1+eps_j) = a_i / b_i is a positive Fraction, the
+    margin of (n, m) is (Y_m a_m b_n - Y_n a_n b_m) / (16 D a_n b_m): the
+    least numerator is kept and one Fraction is built per pair.  A float
+    eps (float margins, in exact mode too) and float mode keep the scalar
+    arithmetic.
     """
     rng = random.Random(seed ^ 0x5EED)
     one = Fraction(1) if exact else 1.0
@@ -339,7 +349,16 @@ def sample_basis_inequality(f_list: Sequence[Seq], eps_seq: Sequence,
     for i in range(1, depth):
         cumprod.append(cumprod[-1] * (1 + eps_seq[i - 1]))
     rows, denom = scan_rows(f_list[:depth])
-    worst_by_pair: dict[tuple, Scalar] = {}
+    pairs = [(n_lo, m_hi) for m_hi in range(2, depth + 1)
+             for n_lo in range(1, m_hi)]
+    integer = exact and all(isinstance(c, Fraction) and c > 0 for c in cumprod)
+    if integer:  # margin numerator Y_m * u - Y_n * w over 16 D w
+        terms = [(cumprod[m - 1].numerator * cumprod[n - 1].denominator,
+                  cumprod[n - 1].numerator * cumprod[m - 1].denominator)
+                 for n, m in pairs]
+    else:
+        terms = [(cumprod[m - 1] / cumprod[n - 1], 1) for n, m in pairs]
+    worst: list = []  # per pair, the least margin (numerator) so far
     for _ in range(samples):
         if exact:
             coeffs = [rng.randint(-16, 16) for _ in range(depth)]
@@ -347,17 +366,16 @@ def sample_basis_inequality(f_list: Sequence[Seq], eps_seq: Sequence,
             coeffs = [rng.uniform(-1.0, 1.0) for _ in range(depth)]
         if all(c == 0 for c in coeffs):
             continue
-        prefix_norms = scan_prefix_sups(rows, coeffs)
-        if exact:
-            prefix_norms = [Fraction(v, 16 * denom) for v in prefix_norms]
-        for m_hi in range(2, depth + 1):
-            for n_lo in range(1, m_hi):
-                fac = cumprod[m_hi - 1] / cumprod[n_lo - 1]
-                margin = prefix_norms[m_hi - 1] * fac - prefix_norms[n_lo - 1]
-                key = (n_lo, m_hi)
-                if key not in worst_by_pair or margin < worst_by_pair[key]:
-                    worst_by_pair[key] = margin
-    return worst_by_pair
+        sups = scan_prefix_sups(rows, coeffs)
+        if exact and not integer:
+            sups = [Fraction(v, 16 * denom) for v in sups]
+        row = [sups[m - 1] * u - sups[n - 1] * w
+               for (n, m), (u, w) in zip(pairs, terms)]
+        worst = list(map(min, worst, row)) if worst else row
+    if integer:
+        worst = [Fraction(v, 16 * denom * w)
+                 for v, (_, w) in zip(worst, terms)]
+    return dict(zip(pairs, worst))
 
 
 def _family_tol(family: Sequence[Seq], eta: float) -> tuple:

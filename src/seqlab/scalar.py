@@ -53,6 +53,8 @@ def parse_scalar(value, exact: bool) -> Scalar:
 
 def scalar_to_json(value: Scalar):
     """Serialize a scalar: Fractions as "num/den", floats as numbers."""
+    if type(value) is float:  # the common case, before any ABC isinstance
+        return value
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, int):

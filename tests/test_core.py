@@ -30,6 +30,7 @@ from seqlab.errors import (
     NonFiniteCoordinate,
 )
 from seqlab.lineability import geometric_generator
+from seqlab.scalar import scalar_to_json
 from conftest import unit_subspace
 
 L1 = AmbientSpace.lp(1)
@@ -425,3 +426,75 @@ class TestKernel:
         assert x.tail_bound == 0.125 and not x.exact
         with pytest.raises(ConfigError):
             Seq.from_json({"coords": [0.5, True], "exact": False})
+
+    @given(data=st.data(), sparse=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_combine_equals_dense_reference(self, data, sparse):
+        n = data.draw(st.integers(1, 24))
+        zero_odds = 3 if sparse else 0  # sparse: about 1 in 4 nonzero
+
+        def vector():
+            vals = data.draw(st.lists(rational, min_size=n, max_size=n))
+            keep = data.draw(st.lists(st.integers(0, zero_odds), min_size=n,
+                                      max_size=n))
+            vals = [v if k == 0 else Fraction(0) for v, k in zip(vals, keep)]
+            tail = data.draw(st.fractions(min_value=0, max_value=2,
+                                          max_denominator=16))
+            return Seq(tuple(vals), True, tail)
+
+        basis = [vector() for _ in range(data.draw(st.integers(1, 5)))]
+        coeffs = [data.draw(st.one_of(rational, st.integers(-3, 3),
+                                      st.just(Fraction(0))))
+                  for _ in basis]
+        got = combine(basis, coeffs)
+        want = [sum((c * b.coords[j] for c, b in zip(coeffs, basis)),
+                    Fraction(0)) for j in range(n)]
+        assert got.exact
+        assert list(got.coords) == want
+        assert all(type(v) is Fraction for v in got.coords)
+        assert got.tail_bound == sum(
+            (abs(c) * b.tail_bound for c, b in zip(coeffs, basis)),
+            Fraction(0))
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_float_combine_keeps_ieee_bits(self, data):
+        n = data.draw(st.integers(1, 20))
+        basis = [Seq(tuple(data.draw(st.lists(float_coord, min_size=n,
+                                              max_size=n))), False,
+                     data.draw(st.floats(0, 1e300)))
+                 for _ in range(data.draw(st.integers(1, 4)))]
+        coeffs = [data.draw(st.one_of(float_coord, st.just(0.0)))
+                  for _ in basis]
+        # the full loop over every coordinate, as float combine runs it
+        acc, tail = [0.0] * n, 0.0
+        for c, b in zip(coeffs, basis):
+            if c == 0:
+                continue
+            for j, v in enumerate(b.coords):
+                acc[j] += c * v
+            tail += abs(c) * b.tail_bound
+        got = combine(basis, coeffs)
+        assert not got.exact
+        assert [bits(v) for v in got.coords] == [bits(v) for v in acc]
+        assert bits(got.tail_bound) == bits(tail)
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.5e-310,
+        1e308, -1e308, 1.7976931348623157e308, 0.1, -2.5,
+        Fraction(0), Fraction(-3, 7), Fraction(2 ** 70, 3), 0, 5, -12])
+    def test_scalar_to_json_as_before(self, value):
+        # the serialization before floats took their fast path
+        if isinstance(value, Fraction):
+            want = f"{value.numerator}/{value.denominator}"
+        elif isinstance(value, int):
+            want = f"{value}/1"
+        else:
+            want = float(value)
+        got = scalar_to_json(value)
+        assert type(got) is type(want)
+        if isinstance(want, float):
+            assert bits(got) == bits(want)
+        else:
+            assert got == want
+        assert json.dumps(got) == json.dumps(want)

@@ -64,6 +64,17 @@ any_family = st.one_of(exact_family(MIXED_DENOMS), exact_family(DYADIC_DENOMS),
                        float_family())
 
 
+def eps_entry(with_floats):
+    """An eps_i in (0, 1): a rational over mixed or dyadic denominators or,
+    with_floats, also a float."""
+    rational = st.sampled_from(MIXED_DENOMS[1:] + DYADIC_DENOMS[1:]).flatmap(
+        lambda d: st.builds(Fraction, st.integers(1, d - 1), st.just(d)))
+    if with_floats:
+        return st.one_of(rational,
+                         st.floats(0, 1, exclude_min=True, exclude_max=True))
+    return rational
+
+
 def coefficients(fam, draw_int):
     if fam[0].exact:
         return [Fraction(draw_int(-16, 16), 8) for _ in fam]
@@ -225,11 +236,13 @@ class TestScanHelper:
 
 class TestScanCallSites:
     @SETTINGS
-    @given(any_family, st.integers(0, 10 ** 6))
-    def test_sample_basis_inequality(self, fam, seed):
+    @given(any_family, st.integers(0, 10 ** 6), st.data())
+    def test_sample_basis_inequality(self, fam, seed, data):
         exact = fam[0].exact
         one = Fraction(1) if exact else 1.0
-        eps = [one] + [one / 2 ** i for i in range(2, len(fam) + 1)]
+        with_floats = not exact or data.draw(st.booleans())
+        eps = [one] + data.draw(st.lists(eps_entry(with_floats),
+                                         min_size=len(fam), max_size=len(fam)))
         got = sample_basis_inequality(fam, eps, len(fam), exact, seed, 12)
         # reference: the same rng stream through Seq ops
         rng = random.Random(seed ^ 0x5EED)
@@ -252,7 +265,9 @@ class TestScanCallSites:
                     if (lo, hi) not in worst or m < worst[(lo, hi)]:
                         worst[(lo, hi)] = m
         assert got.keys() == worst.keys()
-        assert all(same(got[k], worst[k]) for k in got)
+        # a float eps makes the later margins floats, in exact mode too
+        assert all(type(got[k]) is type(worst[k]) and same(got[k], worst[k])
+                   for k in got)
 
     @SETTINGS
     @given(any_family, st.integers(0, 1000))
