@@ -10,11 +10,12 @@ Two scalar modes coexist: exact ``Fraction`` coordinates (the sup norm
 and the l1 norm stay rational) and ``float`` coordinates for general
 lp.  A workspace never mixes modes.
 
-Exact ``Seq`` arithmetic, exact ``combine`` and all norm sums skip zero
+Exact ``Seq`` arithmetic, ``combine`` and all norm sums skip zero
 coordinates, so mostly-zero vectors cost in proportion to their
 nonzeros, bit for bit as a full loop.  Float ``add``/``sub``/``scale``
-and ``combine`` run every coordinate: a skip would not keep signed zeros
-(-0.0 - -0.0 is 0.0) or NaNs (inf * 0.0).
+run every coordinate: a skip would not keep signed zeros (-0.0 - -0.0
+is 0.0).  ``combine`` sums into accumulators that start at +0.0 and so
+never hold -0.0, which adding c * (+-0.0) leaves as they are.
 
 All values are immutable after construction; every function here is
 pure, so callers may share objects freely across threads.
@@ -315,8 +316,9 @@ def tail_norm(x: Seq, n: int, space: AmbientSpace) -> Scalar:
 def combine(basis: Sequence[Seq], coeffs: Sequence[Scalar]) -> Seq:
     """Linear combination sum(c_i * b_i) with triangle-inequality tail bound.
 
-    Exact mode skips zero coordinates, as exact Seq arithmetic does; float
-    mode runs every coordinate (inf * 0.0 is NaN, not a skip).
+    Both modes skip zero coordinates.  A float accumulator starts at +0.0
+    and round-to-nearest addition gives -0.0 only from -0.0 + -0.0, so it
+    never holds -0.0 and adding c * (+-0.0) for a finite c keeps its bits.
     """
     if len(basis) != len(coeffs):
         raise LengthMismatch(f"{len(basis)} vectors vs {len(coeffs)} coefficients")
@@ -331,12 +333,8 @@ def combine(basis: Sequence[Seq], coeffs: Sequence[Scalar]) -> Seq:
     for c, b in zip(coeffs, basis):
         if c == 0:
             continue
-        if exact:
-            for j, v in enumerate(b.coords):
-                if v:
-                    acc[j] += c * v
-        else:
-            for j, v in enumerate(b.coords):
+        for j, v in enumerate(b.coords):
+            if v:
                 acc[j] += c * v
         tail += abs(c) * b.tail_bound
     if not exact:

@@ -245,9 +245,8 @@ def extract_stabilizing_subsequence(g1: Seq, g2: Seq, m: Sequence[int],
 # ---------------------------------------------------------------------------
 
 def _sup(v: Seq) -> Scalar:
-    if v.exact:
-        return max((abs(c) for c in v.coords if c), default=Fraction(0))
-    return max((abs(c) for c in v.coords), default=0.0)
+    return max((abs(c) for c in v.coords if c),
+               default=Fraction(0) if v.exact else 0.0)
 
 
 def _constrained_basis(subspace: Subspace, constraints: Sequence[int], tol):

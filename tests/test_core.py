@@ -466,7 +466,7 @@ class TestKernel:
                  for _ in range(data.draw(st.integers(1, 4)))]
         coeffs = [data.draw(st.one_of(float_coord, st.just(0.0)))
                   for _ in basis]
-        # the full loop over every coordinate, as float combine runs it
+        # the full loop over every coordinate; combine's zero skip must keep its bits
         acc, tail = [0.0] * n, 0.0
         for c, b in zip(coeffs, basis):
             if c == 0:
