@@ -20,7 +20,10 @@ from .errors import MalformedCertificate
 from .scalar import Scalar, scalar_to_json
 
 #: Version 2: the lp zeroing Q ledger holds certified bounds, not samples.
-SCHEMA_VERSION = 2
+#: Version 3: a witness holds an exact parity ledger, not samples, and no
+#: seed or odd family; lp certificates store each vector once (no f_tilde,
+#: g or sigma in dominance, no vectors or norm_upper in q_op).
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ invariant violations, failed checks, tampered certificates).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -138,8 +139,7 @@ def run_scenario(scenario: Scenario) -> tuple[dict, int]:
 
         if scenario.pipeline == "witness":
             source = certificates.load_certificate(params["cert"])
-            cert = witness_from_doc(source, samples=params["samples"],
-                                    seed=params["seed"])
+            cert = witness_from_doc(source)
             return _document("witness", cert.as_json(), cert.status)
 
         if scenario.pipeline == "density":
@@ -230,7 +230,10 @@ def _add_common(parser):
                         help="run independent fixtures concurrently")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged,
+    and each new one would be cyclic garbage in a long-lived process."""
     parser = _Parser(prog="seqlab",
                      description="certificate-producing sequence-space "
                                  "constructions on truncated lp / c0 models")
@@ -271,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_wit = sub.add_parser("witness", help="even/odd spaceability witness "
                            "from an emitted zeroing certificate")
     p_wit.add_argument("--cert", required=True)
-    p_wit.add_argument("--samples", type=int, default=500)
-    p_wit.add_argument("--seed", type=int, default=0)
     p_wit.add_argument("--out", default=None)
 
     p_den = sub.add_parser("density", help="repair a span element into a "
@@ -328,8 +329,7 @@ def _scenarios_from_args(args) -> list[Scenario]:
                 for path in args.fixture]
     if args.command == "witness":
         return [Scenario(name="witness", pipeline="witness",
-                         params={"cert": args.cert, "samples": args.samples,
-                                 "seed": args.seed})]
+                         params={"cert": args.cert})]
     if args.command == "density":
         coeffs = (_parse_rational_list(args.coeffs, "--coeffs")
                   if args.coeffs else None)

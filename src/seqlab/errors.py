@@ -90,7 +90,7 @@ class InvariantViolation(SeqLabError):
 
 
 class WitnessViolation(InvariantViolation):
-    """A sampled witness combination has a nonzero forbidden coordinate."""
+    """An even witness vector is nonzero at a forbidden (odd) marker."""
 
 
 class CaseBoundViolated(InvariantViolation):

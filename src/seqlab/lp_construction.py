@@ -68,7 +68,9 @@ class DominanceCert:
 
     s and N interleave as s_1 = N_1 < s_2 < N_2 < ...; f are the unit
     vectors, f_tilde their window truncations, g the normalized blocks,
-    sigma the 1-based inclusive windows, delta = sum |f_k - g_k|.
+    sigma the 1-based inclusive windows, delta = sum |f_k - g_k|.  The
+    JSON form leaves out f_tilde, g and sigma, which window_blocks
+    rebuilds from f and N.
     """
 
     space: AmbientSpace
@@ -96,9 +98,6 @@ class DominanceCert:
             "s": list(self.s),
             "n_cut": list(self.n_cut),
             "f": [v.as_json() for v in self.f],
-            "f_tilde": [v.as_json() for v in self.f_tilde],
-            "g": [v.as_json() for v in self.g],
-            "sigma": [list(w) for w in self.sigma],
             "delta": _scalar_json(self.delta),
             "eta": self.eta,
             "checks": [c.as_json() for c in self.checks],
@@ -342,15 +341,7 @@ def construct_dominant_sequence(subspace: Subspace, eps, depth: int,
                 f"< eps/2^{k + 2}; T too small")
         cut_list.append(n_next)
 
-    # windows and normalized blocks
-    sigma = []
-    f_tilde = []
-    g = []
-    for k in range(1, depth + 1):
-        window = (1 if k == 1 else cut_list[k - 2] + 1, cut_list[k - 1])
-        sigma.append(window)
-        f_tilde.append(fs[k - 1].restrict(window))
-        g.append(normalize(f_tilde[-1], space, eta=eta_v))
+    sigma, f_tilde, g = window_blocks(fs, cut_list, space, eta_v)
     checks, delta = dominance_checks(space, s_list, cut_list, fs, f_tilde, g,
                                      eps, tol)
 
@@ -358,6 +349,16 @@ def construct_dominant_sequence(subspace: Subspace, eps, depth: int,
                          n_cut=tuple(cut_list), f=tuple(fs),
                          f_tilde=tuple(f_tilde), g=tuple(g), sigma=tuple(sigma),
                          delta=delta, checks=tuple(checks), eta=eta_v)
+
+
+def window_blocks(f: Sequence[Seq], cuts: Sequence[int], space: AmbientSpace,
+                  eta: float) -> tuple[list, list, list]:
+    """The windows sigma_k = [N_{k-1} + 1, N_k] (N_0 = 0) that the cuts
+    N_k make, the truncations f_tilde_k = f_k on sigma_k, and the
+    normalized blocks g_k = f_tilde_k / |f_tilde_k|."""
+    sigma = [(lo + 1, hi) for lo, hi in zip((0, *cuts), cuts)]
+    f_tilde = [f_k.restrict(w) for f_k, w in zip(f, sigma, strict=True)]
+    return sigma, f_tilde, [normalize(ft, space, eta=eta) for ft in f_tilde]
 
 
 def block_projection(blocks: Sequence[Seq], sigma: Sequence[tuple],
@@ -468,7 +469,7 @@ def perturbation_checks(k_const, p_norm, delta) -> tuple[list, Optional[tuple]]:
 
 
 def projection_onto_family(family: Sequence[Seq], block_p: ProjectionOp,
-                           space: AmbientSpace, norm_upper=None,
+                           space: AmbientSpace,
                            eta: float = 1e-9) -> Optional[ProjectionOp]:
     """Concrete projection onto span(family): invert the transfer on the
     family and compose with the block projection.
@@ -504,8 +505,7 @@ def projection_onto_family(family: Sequence[Seq], block_p: ProjectionOp,
         if not exact:
             acc = [float(v) for v in acc]
         functionals.append(Seq(tuple(acc), exact, zero if exact else 0.0))
-    return ProjectionOp(tuple(functionals), tuple(family), space,
-                        norm_upper=norm_upper)
+    return ProjectionOp(tuple(functionals), tuple(family), space)
 
 
 def zero_recursion(f: Sequence[Seq], s: Sequence[int]):
@@ -619,8 +619,7 @@ def construct_zeroed_sequence(subspace: Subspace, eps, depth: int,
     residuals = [c.lhs for c in checks if c.key == "residual"]
     iter_depths = [depth - k for k in range(1, depth + 1)]
 
-    q_op = projection_onto_family(dom.f, proj, space,
-                                  norm_upper=pert.q_norm_bound, eta=eta_v)
+    q_op = projection_onto_family(dom.f, proj, space, eta=eta_v)
     if q_op is not None:
         fix_tol = max(eta_v, 1e-7) if not exact else tol
         checks += q_checks(q_op, pert.q_norm_bound, fix_tol, eta_v)

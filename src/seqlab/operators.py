@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .core import AmbientSpace, Seq, norm
 from .errors import ConfigError
-from .scalar import Scalar, scalar_to_json
+from .scalar import Scalar
 
 #: the float steps below are taken on values in this range only
 _LO, _HI = 2.0 ** -1000, 2.0 ** 1000
@@ -183,19 +183,6 @@ class ProjectionOp:
         return _mean_up(Fraction(alpha), Fraction(beta), p)
 
     def as_json(self) -> dict:
-        out = {
-            "functionals": [f.as_json() for f in self.functionals],
-            "vectors": [v.as_json() for v in self.vectors],
-        }
-        if self.norm_upper is not None:
-            out["norm_upper"] = scalar_to_json(self.norm_upper)
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict, space: AmbientSpace) -> "ProjectionOp":
-        functionals = tuple(Seq.from_json(f) for f in obj["functionals"])
-        vectors = tuple(Seq.from_json(v) for v in obj["vectors"])
-        upper = obj.get("norm_upper")
-        if upper is not None:
-            upper = Fraction(upper) if isinstance(upper, str) else float(upper)
-        return cls(functionals, vectors, space, upper)
+        """The functionals only: the vectors and the norm bound are the
+        certificate's own f_k and q_norm_bound, which it stores once."""
+        return {"functionals": [f.as_json() for f in self.functionals]}

@@ -3,21 +3,23 @@
 The even-indexed half of a zeroed family spans a space whose every
 element vanishes at all odd markers -- the truncation-scale rendering
 of a closed subspace avoiding sequences with finitely many zeros.  The
-odd half splits it off inside the full family, the membership
-predicate V(0, forbidden) is closed under coordinatewise products, and
-the density-repair operations push an arbitrary span element within
-eps of such a witness.
+claim is linear, so it is checked exactly and not sampled: it holds
+iff each even vector vanishes at each odd marker (witness_checks, the
+ledger the constructor emits and verify reruns).  The odd half splits
+it off inside the full family, the membership predicate V(0, forbidden)
+is closed under coordinatewise products, and the density-repair
+operations push an arbitrary span element within eps of such a
+witness.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import linalg
-from .certificates import Check, checks_status, make_check
-from .core import AmbientSpace, Seq, Subspace, norm, scan_combine, scan_rows
+from .certificates import checks_status, make_check
+from .core import AmbientSpace, Seq, Subspace, norm
 from .errors import (
     ConfigError,
     MissingPerturbCert,
@@ -37,17 +39,15 @@ SourceCert = Union[ZeroingCert, SupZeroingCert]
 
 @dataclass(frozen=True)
 class WitnessCert:
-    """Even/odd split of a zeroed family with sampled span evidence."""
+    """Even/odd split of a zeroed family with exact parity evidence."""
 
     source_kind: str
     space: AmbientSpace
     s: tuple
     even_family: tuple
-    odd_family: tuple
     forbidden: tuple  # odd-position markers s_1, s_3, ...
     rank: int
-    samples_checked: int
-    seed: int
+    samples_checked: int  # entries l_{2i}(s_{2j-1}) the parity check reads
     checks: tuple
     eta: float
 
@@ -61,11 +61,9 @@ class WitnessCert:
             "space": self.space.as_json(),
             "s": list(self.s),
             "even_family": [v.as_json() for v in self.even_family],
-            "odd_family": [v.as_json() for v in self.odd_family],
             "forbidden": list(self.forbidden),
             "rank": self.rank,
             "samples_checked": self.samples_checked,
-            "seed": self.seed,
             "eta": self.eta,
             "scope_note": ("finite-rank evidence only: the witness family "
                            "grows with depth/truncation; cardinality claims "
@@ -83,20 +81,19 @@ def _family_and_markers(cert: SourceCert):
     raise ConfigError(f"unsupported source certificate {type(cert).__name__}")
 
 
-def spaceable_witness(cert: SourceCert, samples: int = 500,
-                      seed: int = 0) -> WitnessCert:
-    """Split the family by marker parity and sample the even span.
+def spaceable_witness(cert: SourceCert) -> WitnessCert:
+    """Split the family by marker parity and check the even span exactly.
 
-    Every sampled combination of the even vectors must vanish (within
-    eta) at every odd marker; any violation is a hard failure.  The
-    even family must be linearly independent (rank = size).
+    Every combination of the even vectors vanishes (within eta) at every
+    odd marker exactly when each even vector does there; any violation
+    is a hard failure.  The even family must be linearly independent
+    (rank = size).
     """
     family, markers, kind, space, eta = _family_and_markers(cert)
-    return witness_from_parts(family, markers, kind, space, eta,
-                              samples=samples, seed=seed)
+    return witness_from_parts(family, markers, kind, space, eta)
 
 
-def witness_from_doc(doc: dict, samples: int = 500, seed: int = 0) -> WitnessCert:
+def witness_from_doc(doc: dict) -> WitnessCert:
     """Run the witness split on an emitted zeroing certificate document."""
     kind = doc.get("kind")
     if kind not in ("zeroing", "sup_zeroing"):
@@ -106,13 +103,33 @@ def witness_from_doc(doc: dict, samples: int = 500, seed: int = 0) -> WitnessCer
     family = [Seq.from_json(o) for o in doc["l"]]
     markers = list(doc["s"])
     eta = float(doc.get("eta", 1e-9))
-    return witness_from_parts(family, markers, kind, space, eta,
-                              samples=samples, seed=seed)
+    return witness_from_parts(family, markers, kind, space, eta)
+
+
+def witness_checks(even: Sequence[Seq], forbidden: Sequence[int], depth: int,
+                   tol) -> tuple[list, int]:
+    """The witness ledger and the even family's rank.
+
+    forbidden_coordinate_max is the exact max of |l_{2i}(s_{2j-1})| over
+    the even vectors and the odd markers, at [i, s_{2j-1}] of its first
+    largest entry: every combination of the even family vanishes at the
+    odd markers exactly when each even vector does.  Then the rank of
+    the even family against its size and against depth/2.
+    """
+    worst, where = max(((abs(v.at(s_j)), [i, s_j])
+                        for i, v in enumerate(even, start=1)
+                        for s_j in forbidden),
+                       key=lambda entry: entry[0], default=(0, []))
+    rank = linalg.rank([list(v.coords) for v in even], tol)
+    return [make_check("forbidden_coordinate_max", where, worst, "abs_le", 0,
+                       tol),
+            make_check("even_family_rank", [], rank, "eq", len(even), 0),
+            make_check("even_rank_half_depth", [], rank, "eq", depth // 2, 0),
+            ], rank
 
 
 def witness_from_parts(family: list, markers: list, kind: str,
-                       space: AmbientSpace, eta: float,
-                       samples: int = 500, seed: int = 0) -> WitnessCert:
+                       space: AmbientSpace, eta: float) -> WitnessCert:
     if len(markers) < 4:
         raise TooFewIndices(
             f"witness split needs >= 4 constructed indices, got {len(markers)}")
@@ -120,45 +137,18 @@ def witness_from_parts(family: list, markers: list, kind: str,
     if any(f.exact != exact for f in family):
         raise ConfigError("witness family mixes exact and float vectors")
     tol = zero_tol(exact, eta)
-    even = [family[k] for k in range(1, len(family), 2)]   # positions 2,4,...
-    odd = [family[k] for k in range(0, len(family), 2)]    # positions 1,3,...
-    forbidden = [markers[k] for k in range(0, len(markers), 2)]
-
-    # each sample is evaluated only at the forbidden markers; exact-mode
-    # coefficients are k/8, so a value there is Y / (8 D) on the scan rows
-    rows, denom = scan_rows(even)
-    cols = [[row[s_val - 1] for s_val in forbidden] for row in rows]
-    rng = random.Random(seed)
-    checks: list[Check] = []
-    worst = Fraction(0) if exact else 0.0
-    worst_where = (0, 0)
-    for i in range(samples):
-        if exact:
-            coeffs = [rng.randint(-32, 32) for _ in range(len(even))]
-        else:
-            coeffs = [rng.uniform(-4.0, 4.0) for _ in range(len(even))]
-        values = scan_combine(cols, coeffs)
-        for s_val, v in zip(forbidden, values):
-            mag = Fraction(abs(v), 8 * denom) if exact else abs(v)
-            if mag > worst:
-                worst, worst_where = mag, (i, s_val)
-            if mag > tol:
-                raise WitnessViolation(
-                    f"sample {i}: combination of the even family has "
-                    f"|f({s_val})| = {float(mag):.3g} > eta at a forbidden index")
-    checks.append(make_check("forbidden_coordinate_max",
-                             list(worst_where), worst, "abs_le", 0, tol))
-
-    rows = [list(v.coords) for v in even]
-    rank = linalg.rank(rows, tol)
-    checks.append(make_check("even_family_rank", [], rank, "eq",
-                             len(even), 0))
-    checks.append(make_check("even_rank_half_depth", [], rank, "eq",
-                             len(family) // 2, 0))
+    even = family[1::2]       # positions 2, 4, ...
+    forbidden = markers[0::2]  # s_1, s_3, ...
+    checks, rank = witness_checks(even, forbidden, len(markers), tol)
+    if not checks[0].passed:
+        i, s_j = checks[0].where
+        raise WitnessViolation(
+            f"even vector {i} of the family (l_{2 * i}) has "
+            f"|l({s_j})| = {float(checks[0].lhs):.3g} > eta at a "
+            "forbidden index")
     return WitnessCert(source_kind=kind, space=space, s=tuple(markers),
-                       even_family=tuple(even), odd_family=tuple(odd),
-                       forbidden=tuple(forbidden), rank=rank,
-                       samples_checked=samples, seed=seed,
+                       even_family=tuple(even), forbidden=tuple(forbidden),
+                       rank=rank, samples_checked=len(even) * len(forbidden),
                        checks=tuple(checks), eta=eta)
 
 

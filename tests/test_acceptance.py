@@ -284,20 +284,24 @@ def test_09_spaceability_witness():
     lp_cert = construct_zeroed_sequence(unit_subspace(L2, 40, 2000),
                                         Fraction(1, 600), 6, eta=ETA,
                                         f1=dense_f1())
-    w_lp = spaceable_witness(lp_cert, samples=500, seed=9)
+    w_lp = spaceable_witness(lp_cert)
     assert w_lp.status == "pass"
     assert w_lp.rank == 3 == len(lp_cert.l) // 2
     linf_cert = construct_sup_zeroed_sequence(
         unit_subspace(LINF, 30, 130), 6, seed=9, samples=60)
-    w_linf = spaceable_witness(linf_cert, samples=500, seed=9)
+    w_linf = spaceable_witness(linf_cert)
     assert w_linf.status == "pass"
     assert w_linf.rank == 3
-    # max forbidden coordinate over all samples is recorded and <= eta
-    for w in (w_lp, w_linf):
+    # the exact max of |l_2i(s_2j-1)| over all 3 x 3 entries is recorded
+    # and <= eta
+    for w, cert in ((w_lp, lp_cert), (w_linf, linf_cert)):
         worst = next(c for c in w.checks
                      if c.key == "forbidden_coordinate_max")
         assert worst.passed and abs(worst.lhs) <= ETA
-    report(9, "spaceability witness (500 samples, l2 + linf)", t0, 30)
+        assert worst.lhs == max(abs(v.at(s)) for v in cert.l[1::2]
+                                for s in cert.s[0::2])
+        assert w.samples_checked == 9
+    report(9, "spaceability witness (exact parity, l2 + linf)", t0, 30)
 
 
 def test_10_density_repair_c0():
@@ -380,7 +384,7 @@ def test_11_determinism_and_tamper(tmp_path, capsys):
     zer_path = tmp_path / "zer.json"
     zer_path.write_text(dumps_canonical(docs["zeroing"]))
     wit = Scenario(name="s", pipeline="witness",
-                   params={"cert": str(zer_path), "samples": 200, "seed": 11})
+                   params={"cert": str(zer_path)})
     w1, c1 = run_scenario(wit)
     w2, c2 = run_scenario(copy.deepcopy(wit))
     assert c1 == c2 == 0 and dumps_canonical(w1) == dumps_canonical(w2)

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import os
 
@@ -150,7 +151,7 @@ class TestConstructLinfAndWitness:
         assert run(capsys, "verify", cert_path)[0] == 0
         wit_path = str(tmp_path / "wit.json")
         code, _, _ = run(capsys, "witness", "--cert", cert_path,
-                         "--samples", "100", "--out", wit_path)
+                         "--out", wit_path)
         assert code == 0
         assert run(capsys, "verify", wit_path)[0] == 0
 
@@ -219,8 +220,7 @@ def certs(tmp_path_factory):
     quiet("construct-linf", "--fixture", linf_fix, "--depth", "4",
           "--samples", "60", "--out", paths["sup_zeroing"])
     paths["witness"] = str(tmp_path / "wit.json")
-    quiet("witness", "--cert", paths["zeroing"], "--samples", "100",
-          "--out", paths["witness"])
+    quiet("witness", "--cert", paths["zeroing"], "--out", paths["witness"])
     c0_fix = c0_fixture(tmp_path)
     paths["density"] = str(tmp_path / "den.json")
     quiet("density", "--fixture", c0_fix, "--eps", "1/20", "--depth",
@@ -271,3 +271,39 @@ class TestCanonicalJson:
         doc = {"b": 1, "a": [1.5, "2/3"], "nested": {"y": 2, "x": 1}}
         assert dumps_canonical(doc) == dumps_canonical(copy.deepcopy(doc))
         assert dumps_canonical(doc).endswith("\n")
+
+
+class TestParser:
+    def test_second_verify_leaves_no_cyclic_garbage(self, certs, capsys):
+        # the parser is built once; a new one per call is cyclic garbage
+        # (357 objects per call), which makes peak RSS depend on when the
+        # cyclic collector runs
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(["verify", certs["zeroing"]]) == 0
+            gc.collect()
+            assert main(["verify", certs["zeroing"]]) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_consecutive_mains_do_not_share_fixture_lists(self, tmp_path,
+                                                          capsys):
+        fix = json.load(open(l2_fixture(tmp_path)))
+        paths = [write(tmp_path, f"{name}.json", fix) for name in "abcd"]
+        for pair in (paths[:2], paths[2:]):
+            out = str(tmp_path / "out" / os.path.basename(pair[0]))
+            argv = ["construct-lp", "--eps", "1/600", "--depth", "3",
+                    "--out", out]
+            for path in pair:
+                argv += ["--fixture", path]
+            assert run(capsys, *argv)[0] == 0
+            assert sorted(os.listdir(out)) == [os.path.basename(p)
+                                               for p in pair]
+
+    @pytest.mark.parametrize("option", ["--samples", "--seed"])
+    def test_witness_has_no_sampling_options(self, certs, capsys, option):
+        code, _, err = run(capsys, "witness", "--cert", certs["zeroing"],
+                           option, "3")
+        assert code == 1 and "unrecognized arguments" in err

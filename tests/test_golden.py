@@ -1,11 +1,18 @@
 """Certificate bytes are the contract: these sha256 digests pin the
 canonical bytes of three sup-norm certificates (the acceptance suite's
 test_11 sup_zeroing and c0 density scenarios, and the same sup_zeroing
-in float mode) and of four lp and lineability certificates (the l2
+in float mode), of four lp and lineability certificates (the l2
 zeroing scenario of test_11, a dominance certificate at eps = 1/100, an
-lp density repair and the test_11 lineability certificate).  A refactor
-that changes a digest changed what seqlab emits; it must say so and
-update the digest deliberately.
+lp density repair and the test_11 lineability certificate) and of the
+test_11 witness.  A refactor that changes a digest changed what seqlab
+emits; it must say so and update the digest deliberately.
+
+Schema 3 dropped what verify rebuilds: f_tilde, g and sigma from every
+dominance level, the vectors and norm_upper of q_op (the dominance f and
+the perturbation's q_norm_bound), and it gave the witness an exact
+ledger.  Re-inserting the dropped copies, rebuilt through the public
+API, gives back the schema-2 bytes of every certificate pinned before
+that change.
 
 Schema 2 changed only the lp zeroing certificate: its Q ledger entry
 q_norm_sampled_le_bound became q_norm_certified_le_bound, the Q values
@@ -20,8 +27,22 @@ import pytest
 
 from seqlab.certificates import SCHEMA_VERSION, dumps_canonical
 from seqlab.cli import Scenario, run_scenario
+from seqlab.core import AmbientSpace, Seq
+from seqlab.lp_construction import window_blocks
 
 GOLDEN = {
+    "sup_zeroing": "6c11d615c26e33aa3c076f045459bf3742068f9e919c69d17f02962420b6f985",
+    "sup_zeroing_float": "ec9a991c4d0da8b116c1bc61a44d7483bd5e542327e5992f3134538ce0101396",
+    "density": "a11506d1eadce209ddf3fe96f8c3e2a179069f2ec762f26cd8d8485b3a535367",
+    "zeroing": "d81841841a342eed6f608aa1fdae7be1840367f818b21d08bd571b6c6dad698a",
+    "dominance": "97c0ce67f2f99d23727e10429faef2bcad118bad4fbd9d268411f1a886d58872",
+    "density_lp": "d457977ddde5db012d618891a1bf857e1f285a8bd617c4517ce492d7509b3331",
+    "lineability": "b6f7653883630ebdaf07d1e619cb9173266d6527291bb347cb22d73c54407831",
+    "witness": "748a5ec82d79020815618045e86a1f63f888fd7e7ce6e12889c3187852879f3f",
+}
+
+#: the schema-2 digests, computed before the schema-3 change
+GOLDEN_SCHEMA_2 = {
     "sup_zeroing": "ee1e5050948f4a7571a613114257daba47529b9ee1304c71aa70ab69756e9556",
     "sup_zeroing_float": "5df17f24cbbe83d3fb776a521946cfc67f89d75e4b4386a5e9d2700f2e12ece9",
     "density": "72654df0dd27ac8c9acc93633474bd8bdca4cdb620149bae1eaa216db8b7c416",
@@ -59,6 +80,11 @@ def _l2_fixture(tmp_path):
 
 
 def _scenario(name, tmp_path):
+    if name == "witness":
+        doc, _ = run_scenario(_scenario("zeroing", tmp_path))
+        src = tmp_path / "zeroing.json"
+        src.write_text(dumps_canonical(doc))
+        return Scenario(name="s", pipeline="witness", params={"cert": str(src)})
     if name == "lineability":
         return Scenario(name="s", pipeline="lineability", params={
             "ratios": [Fraction(1, 4), Fraction(1, 2)],
@@ -104,6 +130,41 @@ def _digest(doc) -> str:
     return hashlib.sha256(dumps_canonical(doc).encode("utf-8")).hexdigest()
 
 
+def _restore_blocks(dom):
+    f = [Seq.from_json(o) for o in dom["f"]]
+    sigma, f_tilde, g = window_blocks(f, dom["n_cut"],
+                                      AmbientSpace.from_json(dom["space"]),
+                                      dom["eta"])
+    dom.update(sigma=[list(w) for w in sigma],
+               f_tilde=[v.as_json() for v in f_tilde],
+               g=[v.as_json() for v in g])
+
+
+def _schema_3_to_2(doc):
+    """The schema-2 form: the dropped copies re-inserted, rebuilt."""
+    assert doc.pop("schema_version") == SCHEMA_VERSION == 3
+    doc["schema_version"] = 2
+    if doc["kind"] == "dominance":
+        _restore_blocks(doc)
+    zeroing = doc if doc["kind"] == "zeroing" else doc.get("zeroing")
+    if zeroing is not None:
+        _restore_blocks(zeroing["dominance"])
+        zeroing["q_op"].update(
+            vectors=zeroing["dominance"]["f"],
+            norm_upper=zeroing["perturbation"]["q_norm_bound"])
+    return doc
+
+
+def _schema_2_to_1(doc):
+    doc["schema_version"] = 1
+    if doc["kind"] == "zeroing":
+        doc["seed"] = 11  # the sampling seed schema 1 recorded
+        for check in doc["checks"]:
+            if check["key"] == "q_norm_certified_le_bound":
+                check["key"] = "q_norm_sampled_le_bound"
+    return doc
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_certificate_bytes_pinned(name, tmp_path):
     doc, code = run_scenario(_scenario(name, tmp_path))
@@ -111,14 +172,14 @@ def test_certificate_bytes_pinned(name, tmp_path):
     assert _digest(doc) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCHEMA_2))
+def test_schema_3_maps_back_to_schema_2_bytes(name, tmp_path):
+    doc, _ = run_scenario(_scenario(name, tmp_path))
+    assert _digest(_schema_3_to_2(doc)) == GOLDEN_SCHEMA_2[name]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCHEMA_1))
 def test_schema_2_maps_back_to_schema_1_bytes(name, tmp_path):
     doc, _ = run_scenario(_scenario(name, tmp_path))
-    assert doc.pop("schema_version") == SCHEMA_VERSION == 2
-    doc["schema_version"] = 1
-    if doc["kind"] == "zeroing":
-        doc["seed"] = 11  # the sampling seed schema 1 recorded
-        for check in doc["checks"]:
-            if check["key"] == "q_norm_certified_le_bound":
-                check["key"] = "q_norm_sampled_le_bound"
-    assert _digest(doc) == GOLDEN_SCHEMA_1[name]
+    assert _digest(_schema_2_to_1(_schema_3_to_2(doc))) \
+        == GOLDEN_SCHEMA_1[name]

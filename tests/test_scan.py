@@ -290,7 +290,7 @@ class TestScanCallSites:
     @SETTINGS
     @given(st.one_of(exact_family(MIXED_DENOMS), float_family()),
            st.floats(1e-3, 2.0), st.integers(0, 1000))
-    def test_witness_samples_match_combine(self, fam, eta, seed):
+    def test_witness_exact_max_matches_reference(self, fam, eta, seed):
         t = len(fam[0])
         family = (fam * 4)[:max(4, len(fam))]
         markers = [1 + (k % t) for k in range(len(family))]
@@ -298,30 +298,32 @@ class TestScanCallSites:
         tol = 0 if exact else eta
         even = [family[k] for k in range(1, len(family), 2)]
         forbidden = [markers[k] for k in range(0, len(markers), 2)]
-        rng = random.Random(seed)
-        worst, violation = (Fraction(0) if exact else 0.0), None
-        for i in range(20):
-            cs = ([Fraction(rng.randint(-32, 32), 8) for _ in even] if exact
-                  else [rng.uniform(-4.0, 4.0) for _ in even])
-            sample = combine(even, cs)
+        # reference: every entry l_2i(s_2j-1), the first largest wins
+        worst, where = None, None
+        for i, v in enumerate(even, start=1):
             for j in forbidden:
-                worst = max(worst, abs(sample.at(j)))
-                if abs(sample.at(j)) > tol and violation is None:
-                    violation = (f"sample {i}: combination of the even family "
-                                 f"has |f({j})| = {float(abs(sample.at(j))):.3g}")
-            if violation:
-                break
-        if violation:
+                if worst is None or abs(v.at(j)) > worst:
+                    worst, where = abs(v.at(j)), [i, j]
+        # the max bounds every combination at every forbidden marker (in
+        # rationals, which the stored doubles are)
+        rng = random.Random(seed)
+        cs = [Fraction(rng.uniform(-4.0, 4.0)) for _ in even]
+        bound = sum(abs(c) for c in cs) * Fraction(worst)
+        for j in forbidden:
+            assert abs(sum(c * Fraction(v.at(j)) for c, v in zip(cs, even))) \
+                <= bound
+        if worst > tol:
             with pytest.raises(WitnessViolation) as info:
-                witness_from_parts(family, markers, "sup_zeroing", LINF, eta,
-                                   samples=20, seed=seed)
-            assert str(info.value).startswith(violation)
+                witness_from_parts(family, markers, "sup_zeroing", LINF, eta)
+            assert str(info.value).startswith(
+                f"even vector {where[0]} of the family (l_{2 * where[0]}) "
+                f"has |l({where[1]})| = {float(worst):.3g} > eta")
             return
-        cert = witness_from_parts(family, markers, "sup_zeroing", LINF, eta,
-                                  samples=20, seed=seed)
+        cert = witness_from_parts(family, markers, "sup_zeroing", LINF, eta)
         check = next(c for c in cert.checks
                      if c.key == "forbidden_coordinate_max")
-        assert same(check.lhs, worst)
+        assert same(check.lhs, worst) and list(check.where) == where
+        assert cert.samples_checked == len(even) * len(forbidden)
 
 
 def test_witness_rejects_mixed_modes():
@@ -329,4 +331,4 @@ def test_witness_rejects_mixed_modes():
     floats = [Seq.unit(j, 6, False) for j in range(4, 6)]
     with pytest.raises(ConfigError):
         witness_from_parts(exact + floats, [1, 2, 3, 4, 5], "sup_zeroing",
-                           LINF, 1e-9, samples=2)
+                           LINF, 1e-9)

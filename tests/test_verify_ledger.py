@@ -1,7 +1,8 @@
-"""verify on sup-norm, lp, density and lineability certificates: the
-ledger it recomputes is the stored one, and tampers inside nested
-levels, with the stored ledger, the derived fields, the top-level
-status or the lengths of the stored lists are all rejected."""
+"""verify on sup-norm, lp, density, lineability and witness
+certificates: the ledger it recomputes is the stored one, and tampers
+inside nested levels, with the stored ledger, the derived fields, the
+top-level status or the lengths of the stored lists are all
+rejected."""
 import copy
 import json
 from fractions import Fraction
@@ -10,7 +11,9 @@ import pytest
 
 from seqlab.certificates import dumps_canonical
 from seqlab.cli import Scenario, main, run_scenario
+from seqlab.core import Seq
 from seqlab.errors import MalformedCertificate
+from seqlab.linf_construction import mazur_checks
 from seqlab.verify import _Ctx, verify_certificate
 
 
@@ -67,8 +70,8 @@ def docs(tmp_path_factory):
         out[key] = json.loads(dumps_canonical(doc))
     src = tmp_path / "zeroing.json"
     src.write_text(dumps_canonical(out["zeroing"]))
-    doc, code = run_scenario(Scenario(name="w", pipeline="witness", params={
-        "cert": str(src), "samples": 100, "seed": 11}))
+    doc, code = run_scenario(Scenario(name="w", pipeline="witness",
+                                      params={"cert": str(src)}))
     assert code == 0
     out["witness"] = json.loads(dumps_canonical(doc))
     return out
@@ -320,14 +323,9 @@ def _tamper_psi_scale(doc):
         psi["coords"] = [3 * v for v in psi["coords"]]
 
 
-def _tamper_q_vector(doc):
-    doc["q_op"]["vectors"][0]["coords"][doc["s"][0] - 1] += 0.5
-
-
 @pytest.mark.parametrize("tamper,key", [
     (_tamper_psi_coordinate, "q_fixes_family"),
     (_tamper_psi_scale, "q_norm_certified_le_bound"),
-    (_tamper_q_vector, "q_vectors_match"),
 ])
 def test_q_op_tamper_is_rejected(docs, tamper, key, tmp_path):
     doc = copy.deepcopy(docs["zeroing"])
@@ -337,23 +335,40 @@ def test_q_op_tamper_is_rejected(docs, tamper, key, tmp_path):
     assert _verify_cli(tmp_path, doc) == 1
 
 
-@pytest.mark.parametrize("kind,node,key", [
-    ("zeroing", (), "q_norm_upper_matches"),
-    ("density_lp", ("zeroing",), "zeroing.q_norm_upper_matches"),
-])
-@pytest.mark.parametrize("value", [99, None])
-def test_q_norm_upper_tamper_is_rejected(docs, kind, node, key, value,
-                                         tmp_path):
-    # the stored Q norm bound must be the perturbation's q_norm_bound
-    doc = copy.deepcopy(docs[kind])
-    q_op = doc
-    for part in node + ("q_op",):
-        q_op = q_op[part]
-    assert q_op["norm_upper"] is not None
-    if value is None:
-        del q_op["norm_upper"]
-    else:
-        q_op["norm_upper"] = value
+def _flip_first_witness_check(doc):
+    doc["checks"][0]["passed"] = not doc["checks"][0]["passed"]
+
+
+@pytest.mark.parametrize("tamper,keys", [
+    # the exact max over no markers is 0 at no entry
+    (_set(("forbidden",), []), ["stored_ledger_matches", "forbidden_matches",
+                                "samples_checked_matches"]),
+    (_set(("s",), [1, 2]), ["even_rank_half_depth", "stored_ledger_matches",
+                            "forbidden_matches"]),
+    (_flip_first_witness_check, ["stored_ledger_matches"]),
+    (_set(("samples_checked",), 500), ["samples_checked_matches"]),
+    (_set(("rank",), 3), ["rank_matches"]),
+], ids=["forbidden", "s", "passed", "samples_checked", "rank"])
+def test_witness_tamper_is_rejected(docs, tamper, keys, tmp_path):
+    doc = copy.deepcopy(docs["witness"])
+    tamper(doc)
     report = verify_certificate(doc)
-    assert [f.split(":")[0] for f in report.failures] == [key]
+    assert [f.split(":")[0] for f in report.failures] == keys
+    assert _verify_cli(tmp_path, doc) == 1
+
+
+def test_mazur_eps_seq_out_of_range_is_rejected(docs, tmp_path):
+    # eps_i = 7 for i >= 2, with a ledger rewritten on that eps: the basis
+    # inequality then holds only up to a constant 8^k
+    doc = copy.deepcopy(docs["exact"])
+    mazur = doc["cascade"]["source"]
+    mazur["eps_seq"] = mazur["eps_seq"][:1] + ["7/1"] * (len(
+        mazur["eps_seq"]) - 1)
+    checks = mazur_checks([Seq.from_json(o) for o in mazur["f"]], mazur["n"],
+                          [Fraction(e) for e in mazur["eps_seq"]],
+                          mazur["seed"], mazur["samples"], mazur["eta"])
+    mazur["checks"] = [c.as_json() for c in checks]
+    report = verify_certificate(doc)
+    assert [f.split(":")[0] for f in report.failures] == [
+        "cascade.mazur.eps_seq_range"]
     assert _verify_cli(tmp_path, doc) == 1
