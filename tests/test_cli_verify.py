@@ -1,14 +1,18 @@
 import copy
 import gc
 import json
+import multiprocessing
 import os
+import random
 
 import pytest
 
+from seqlab import cli
 from seqlab.certificates import dumps_canonical, load_certificate
-from seqlab.cli import main
-from seqlab.errors import MalformedCertificate
+from seqlab.cli import main, worker_count
+from seqlab.errors import ConfigError, MalformedCertificate
 from seqlab.verify import verify_certificate
+from test_acceptance import _random_linf_fixture
 
 
 def write(tmp_path, name, obj):
@@ -45,6 +49,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_dir(path):
+    return {name: open(os.path.join(path, name), "rb").read()
+            for name in sorted(os.listdir(path))}
+
+
+def _die(scenario):
+    """Stands in for run_scenario: the worker process ends abruptly."""
+    os._exit(3)
+
+
+def _pid_doc(scenario):
+    """Stands in for run_scenario: a document naming the running process."""
+    return {"pid": os.getpid(), "status": "pass"}, 0
+
+
+def _coded_doc(scenario):
+    """Stands in for run_scenario: fixture ``code<n>`` exits with n."""
+    return {"status": "pass"}, int(scenario.name[-1])
 
 
 class TestLineabilityCommand:
@@ -132,12 +156,128 @@ class TestConstructLp:
     def test_jobs_multi_fixture(self, tmp_path, capsys):
         f1 = l2_fixture(tmp_path)
         f2 = write(tmp_path, "l2b.json", json.load(open(f1)))
-        outdir = str(tmp_path / "certs")
-        code, _, _ = run(capsys, "construct-lp", "--fixture", f1,
-                         "--fixture", f2, "--eps", "1/600", "--depth", "3",
-                         "--out", outdir, "--jobs", "2")
+        written = []
+        for jobs in ("2", "1"):
+            outdir = str(tmp_path / f"certs{jobs}")
+            code, _, _ = run(capsys, "construct-lp", "--fixture", f1,
+                             "--fixture", f2, "--eps", "1/600", "--depth",
+                             "3", "--out", outdir, "--jobs", jobs)
+            assert code == 0
+            assert sorted(os.listdir(outdir)) == ["l2.json", "l2b.json"]
+            written.append(read_dir(outdir))
+        assert written[0] == written[1]
+        assert multiprocessing.active_children() == []
+
+
+class TestJobs:
+    def test_fleet_in_workers_matches_in_process(self, tmp_path, capsys):
+        # two test_08-style fixtures and one too small for depth 3: the
+        # model limit gives exit 2 and its error document
+        rng = random.Random(808)
+        fixtures = [_random_linf_fixture(rng, tmp_path, idx)
+                    for idx in range(2)]
+        fixtures.append(write(tmp_path, "small.json", {
+            "space": {"kind": "linf"}, "truncation": 40,
+            "generators": [{"kind": "unit", "index": j} for j in (1, 2)]}))
+        written = []
+        for jobs in ("2", "1"):
+            outdir = str(tmp_path / f"fleet{jobs}")
+            argv = ["construct-linf", "--depth", "3", "--samples", "60",
+                    "--jobs", jobs, "--out", outdir]
+            for fix in fixtures:
+                argv += ["--fixture", fix]
+            code, _, err = run(capsys, *argv)
+            assert code == 2, err
+            assert multiprocessing.active_children() == []
+            written.append(read_dir(outdir))
+        assert written[0] == written[1]
+        assert sorted(written[0]) == ["linf_0.json", "linf_1.json",
+                                      "small.json"]
+        error = json.loads(written[0]["small.json"])
+        assert error["kind"] == "error"
+        assert error["error"] == "DimensionExhausted"
+        assert json.loads(written[0]["linf_0.json"])["status"] == "pass"
+
+    def test_hard_error_names_its_fixture(self, tmp_path, capsys):
+        good = linf_fixture(tmp_path)
+        bad = write(tmp_path, "bad.json", {
+            "space": {"kind": "linf"}, "truncation": 10,
+            "generators": [{"kind": "unit", "index": 11}]})
+        code, _, err = run(capsys, "construct-linf", "--fixture", bad,
+                           "--depth", "3")
+        assert code == 1
+        assert err == "config error: unit index 11 outside [1, 10]\n"
+        for jobs in ("2", "1"):
+            code, _, err = run(capsys, "construct-linf", "--fixture", good,
+                               "--fixture", bad, "--depth", "3",
+                               "--samples", "60", "--jobs", jobs,
+                               "--out", str(tmp_path / f"out{jobs}"))
+            assert code == 1
+            assert err == ("config error: bad: unit index 11 outside "
+                           "[1, 10]\n")
+            assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_a_one_line_error(self, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.setattr(cli, "run_scenario", _die)
+        fix = linf_fixture(tmp_path)
+        twin = write(tmp_path, "twin.json", json.load(open(fix)))
+        code, _, err = run(capsys, "construct-linf", "--fixture", fix,
+                           "--fixture", twin, "--depth", "3", "--jobs", "2",
+                           "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith("error: a worker process died")
+        assert err.count("\n") == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        fix = linf_fixture(tmp_path)
+        code, _, err = run(capsys, "construct-linf", "--fixture", fix,
+                           "--fixture", fix, "--depth", "3", "--jobs", jobs,
+                           "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err == f"config error: --jobs must be at least 1, got {jobs}\n"
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("codes,expected", [
+        ("00", 0), ("20", 2), ("201", 1), ("12", 1)])
+    def test_exit_code_of_several_fixtures(self, tmp_path, capsys,
+                                           monkeypatch, codes, expected):
+        monkeypatch.setattr(cli, "run_scenario", _coded_doc)
+        argv = ["construct-linf", "--depth", "3", "--jobs", "2",
+                "--out", str(tmp_path / "out")]
+        for idx, code in enumerate(codes):
+            argv += ["--fixture", str(tmp_path / f"f{idx}code{code}.json")]
+        assert run(capsys, *argv)[0] == expected
+
+    def test_worker_count(self):
+        assert worker_count(10 ** 6, 3) == 3
+        assert worker_count(2, 3) == 2
+        assert worker_count(1, 3) == 1
+        with pytest.raises(ConfigError):
+            worker_count(0, 3)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs,fork,in_workers", [
+        ("2", True, True), ("1", True, False), ("2", False, False)])
+    def test_fixtures_run_in_workers_only_with_fork(self, tmp_path, capsys,
+                                                    monkeypatch, jobs, fork,
+                                                    in_workers):
+        monkeypatch.setattr(cli, "run_scenario", _pid_doc)
+        if not fork:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                                lambda: ["spawn"])
+        fix = linf_fixture(tmp_path)
+        twin = write(tmp_path, "twin.json", json.load(open(fix)))
+        outdir = str(tmp_path / "out")
+        code, _, _ = run(capsys, "construct-linf", "--fixture", fix,
+                         "--fixture", twin, "--depth", "3", "--jobs", jobs,
+                         "--out", outdir)
         assert code == 0
-        assert sorted(os.listdir(outdir)) == ["l2.json", "l2b.json"]
+        pids = {json.loads(data)["pid"] for data in read_dir(outdir).values()}
+        assert (os.getpid() not in pids) == in_workers
+        assert multiprocessing.active_children() == []
 
 
 class TestConstructLinfAndWitness:
