@@ -14,7 +14,6 @@ from .core import (
     AmbientSpace,
     Seq,
     Subspace,
-    Tolerances,
     combine,
     hadamard,
     load_fixture,

@@ -35,7 +35,6 @@ from .errors import (
 from .lineability import GeometricCombination, lineability_certificate
 from .linf_construction import construct_sup_zeroed_sequence
 from .lp_construction import (
-    DOMINANT_EPS_SUP,
     ZEROING_EPS_SUP,
     construct_dominant_sequence,
     construct_zeroed_sequence,
@@ -108,13 +107,10 @@ def run_scenario(scenario: Scenario) -> tuple[dict, int]:
 
         if scenario.pipeline == "lp":
             eps = params["eps"]
-            if not 0 < eps < DOMINANT_EPS_SUP:
-                raise EpsOutOfRange(
-                    f"eps must satisfy 0 < eps < 4/33, got {eps}")
             sub = load_fixture(scenario.fixture, mode=params["mode"])
             sub = _apply_space_override(sub, params)
-            # the zeroing stage needs eps < 1/512; for larger admissible eps
-            # (still < 4/33) only the dominant-sequence stage applies
+            # the zeroing stage needs eps < 1/512; for larger eps only the
+            # dominant-sequence stage applies, which rejects eps >= 4/33
             if 0 < eps < ZEROING_EPS_SUP:
                 cert = construct_zeroed_sequence(sub, eps, params["depth"])
                 kind = "zeroing"
@@ -126,13 +122,9 @@ def run_scenario(scenario: Scenario) -> tuple[dict, int]:
 
         if scenario.pipeline == "linf":
             sub = load_fixture(scenario.fixture, mode=params["mode"])
-            kwargs = {}
-            if params.get("k_est") is not None:
-                kwargs["k_est"] = params["k_est"]
             cert = construct_sup_zeroed_sequence(
                 sub, params["depth"], stab_tol=params["stab_tol"],
-                net_resolution=params["net_resolution"], seed=params["seed"],
-                samples=params["samples"], **kwargs)
+                seed=params["seed"], samples=params["samples"])
             return _document("sup_zeroing", cert.as_json(), cert.status, sub,
                              scenario.name)
 
@@ -194,7 +186,7 @@ def _apply_space_override(sub: Subspace, params: dict) -> Subspace:
     if p is None:
         raise ConfigError("construct-lp: --p required with --space lp")
     return Subspace(AmbientSpace.lp(p), sub.generators, sub.reduced_basis,
-                    sub.pivots, sub.dim, sub.eta)
+                    sub.pivots, sub.dim)
 
 
 def _density_target(sub: Subspace, params: dict) -> Seq:
@@ -265,9 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "and sup-norm zeroed sequence")
     p_linf.add_argument("--depth", type=int, required=True)
     p_linf.add_argument("--stab-tol", default="1/1000000")
-    p_linf.add_argument("--net-resolution", default="1/4")
-    p_linf.add_argument("--k-est", default=None,
-                        help="basis-constant estimate (default: sampled)")
     p_linf.add_argument("--samples", type=int, default=200)
     p_linf.add_argument("--seed", type=int, default=0)
     _add_common(p_linf)
@@ -321,10 +310,6 @@ def _scenarios_from_args(args) -> list[Scenario]:
                          params={"depth": args.depth,
                                  "stab_tol": _parse_rational(args.stab_tol,
                                                              "--stab-tol"),
-                                 "net_resolution": _parse_rational(
-                                     args.net_resolution, "--net-resolution"),
-                                 "k_est": (_parse_rational(args.k_est, "--k-est")
-                                           if args.k_est else None),
                                  "samples": args.samples, "mode": args.mode,
                                  "seed": args.seed})
                 for path in args.fixture]
@@ -370,8 +355,9 @@ def worker_count(jobs: int, fixtures: int) -> int:
 
 def _run_fixtures(scenarios: list[Scenario], out: str, workers: int) -> int:
     """Run several fixtures, write each certificate into the directory
-    ``out`` in fixture order, and combine their exit codes: any hard
-    failure gives 1, else any model limit 2, else 0.
+    ``out`` as ``<fixture stem>.json`` in fixture order, and combine their
+    exit codes: any hard failure gives 1, else any model limit 2, else 0.
+    Fixtures that share a stem are refused before any of them runs.
 
     With more than one worker the fixtures run in a forked process pool;
     otherwise, or where the platform cannot fork, in this process.
@@ -382,6 +368,11 @@ def _run_fixtures(scenarios: list[Scenario], out: str, workers: int) -> int:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    stems = [scenario.name for scenario in scenarios]
+    shared = next((stem for stem in stems if stems.count(stem) > 1), None)
+    if shared is not None:
+        raise ConfigError(f"several fixtures have the file stem {shared!r}, "
+                          f"so they would all write {shared}.json")
     os.makedirs(out, exist_ok=True)
     codes = []
     pool = None

@@ -37,7 +37,6 @@ from .errors import (
     ZeroVector,
 )
 from .scalar import (
-    DEFAULT_ETA,
     Scalar,
     check_finite,
     parse_scalar,
@@ -212,25 +211,6 @@ class Seq:
             _check_finite_coords(coords)
         tail = parse_scalar(obj.get("tail_bound", 0), exact)
         return cls(coords, exact, tail)
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Workspace tolerances: zero threshold, truncation, and depth budget."""
-
-    eta: float = DEFAULT_ETA
-    truncation: int = 256
-    depth: int = 1
-
-    def __post_init__(self):
-        if not self.eta > 0:
-            raise ConfigError("tolerances: eta must satisfy eta > 0")
-        if self.depth < 1:
-            raise ConfigError("tolerances: depth must satisfy depth >= 1")
-        if self.truncation < 4 * self.depth:
-            raise ConfigError(
-                f"tolerances: truncation must satisfy T >= 4*depth "
-                f"(T={self.truncation}, depth={self.depth})")
 
 
 def _check_lengths(x: Seq, y: Seq):
@@ -421,7 +401,6 @@ class Subspace:
     reduced_basis: tuple
     pivots: tuple  # 1-based coordinate positions of the RREF pivots
     dim: int
-    eta: float = DEFAULT_ETA
 
     @property
     def truncation(self) -> int:
@@ -432,8 +411,8 @@ class Subspace:
         return bool(self.generators) and self.generators[0].exact
 
     @classmethod
-    def build(cls, ambient: AmbientSpace, generators: Sequence[Seq],
-              eta: float = DEFAULT_ETA) -> "Subspace":
+    def build(cls, ambient: AmbientSpace,
+              generators: Sequence[Seq]) -> "Subspace":
         if not generators:
             raise ConfigError("subspace needs at least one generator")
         t = len(generators[0])
@@ -445,12 +424,12 @@ class Subspace:
                 raise ConfigError("generators must share one scalar mode")
         rows = [list(g.coords) for g in generators]
         tails = [g.tail_bound for g in generators]
-        rows, tails, pivot_cols = linalg.rref(rows, zero_tol(exact, eta), tails)
+        rows, tails, pivot_cols = linalg.rref(rows, zero_tol(exact), tails)
         basis = tuple(Seq(tuple(r), exact, tb) for r, tb in zip(rows, tails))
         sub = cls(ambient, tuple(generators), basis,
-                  tuple(pc + 1 for pc in pivot_cols), len(basis), eta)
+                  tuple(pc + 1 for pc in pivot_cols), len(basis))
         for g in generators:
-            if sub.residual_norm(g) > zero_tol(exact, eta):
+            if not sub.contains(g):
                 raise ConfigError("generator escaped its own reduced basis "
                                   "(numerically degenerate fixture)")
         return sub
@@ -462,37 +441,34 @@ class Subspace:
                                      [pc - 1 for pc in self.pivots])
         return max((abs(v) for v in res), default=Fraction(0) if self.exact else 0.0)
 
-    def contains(self, x: Seq, eta: Optional[float] = None) -> bool:
-        tol = zero_tol(self.exact, self.eta if eta is None else eta)
-        return self.residual_norm(x) <= tol
+    def contains(self, x: Seq) -> bool:
+        return self.residual_norm(x) <= zero_tol(self.exact)
 
 
-def vanish_at(subspace: Subspace, indices: Sequence[int],
-              eta: Optional[float] = None) -> Seq:
+def vanish_at(subspace: Subspace, indices: Sequence[int]) -> Seq:
     """A unit vector of span(subspace) vanishing at the given 1-based indices.
 
     Solves the homogeneous system over the reduced basis and normalizes
     the nullspace vector picked by the lexicographically-first free
     variable.  Raises DimensionExhausted when the nullspace is trivial.
     """
-    tol = zero_tol(subspace.exact, subspace.eta if eta is None else eta)
     t = subspace.truncation
     for j in indices:
         if not 1 <= j <= t:
             raise IndexOutOfRange(f"constraint index {j} outside [1, {t}]")
     basis = subspace.reduced_basis
     matrix = [[b.at(j) for b in basis] for j in indices]
-    coeffs = linalg.nullspace_vector(matrix, len(basis), tol)
+    coeffs = linalg.nullspace_vector(matrix, len(basis),
+                                     zero_tol(subspace.exact))
     if coeffs is None:
         raise DimensionExhausted(
             f"no nonzero span vector vanishes at all {len(indices)} indices "
             f"(dim={subspace.dim})")
     f = combine(basis, coeffs)
-    return normalize(f, subspace.ambient, eta=subspace.eta if eta is None else eta)
+    return normalize(f, subspace.ambient)
 
 
-def vanish_on_prefix(subspace: Subspace, n: int,
-                     eta: Optional[float] = None) -> Seq:
+def vanish_on_prefix(subspace: Subspace, n: int) -> Seq:
     """Unit span vector with |f(j)| <= eta for 1 <= j <= n.
 
     Requires dim > n -- the desk-scale surrogate for infinite
@@ -503,13 +479,13 @@ def vanish_on_prefix(subspace: Subspace, n: int,
         raise DimensionExhausted(
             f"prefix length {n} >= dim {subspace.dim}: the finite model "
             "cannot supply a vector vanishing on this prefix")
-    return vanish_at(subspace, range(1, n + 1), eta=eta)
+    return vanish_at(subspace, range(1, n + 1))
 
 
-def normalize(x: Seq, space: AmbientSpace, eta: float = DEFAULT_ETA) -> Seq:
+def normalize(x: Seq, space: AmbientSpace) -> Seq:
     """x / norm(x).  Exactness survives only where the norm is rational."""
     nrm = norm(x, space)
-    if nrm <= zero_tol(x.exact, eta):
+    if nrm <= zero_tol(x.exact):
         raise ZeroVector("cannot normalize a (numerically) zero vector")
     if x.exact and isinstance(nrm, Fraction):
         return x.scale(Fraction(1) / nrm)
@@ -528,8 +504,7 @@ def normalize(x: Seq, space: AmbientSpace, eta: float = DEFAULT_ETA) -> Seq:
 # Rationals serialize as "num/den" strings.
 # ---------------------------------------------------------------------------
 
-def subspace_from_json(obj: dict, mode: str = "auto",
-                       eta: float = DEFAULT_ETA) -> Subspace:
+def subspace_from_json(obj: dict, mode: str = "auto") -> Subspace:
     """Build a Subspace from the fixture JSON object."""
     if not isinstance(obj, dict):
         raise ConfigError("fixture must be a JSON object")
@@ -544,7 +519,7 @@ def subspace_from_json(obj: dict, mode: str = "auto",
     gens = []
     for spec in obj["generators"]:
         gens.append(_generator_from_json(spec, t, exact, space))
-    return Subspace.build(space, gens, eta)
+    return Subspace.build(space, gens)
 
 
 def _resolve_mode(mode: str, space: AmbientSpace) -> bool:
@@ -593,10 +568,10 @@ def _generator_from_json(spec: dict, t: int, exact: bool,
     raise ConfigError(f"unknown generator kind {kind!r}")
 
 
-def load_fixture(path: str, mode: str = "auto", eta: float = DEFAULT_ETA) -> Subspace:
+def load_fixture(path: str, mode: str = "auto") -> Subspace:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"fixture {path}: invalid JSON ({exc})") from exc
-    return subspace_from_json(obj, mode=mode, eta=eta)
+    return subspace_from_json(obj, mode=mode)

@@ -54,9 +54,23 @@ from .errors import (
     ZeroVector,
 )
 from .lp_construction import basis_constant_lower_bound
-from .scalar import Scalar, scalar_to_json, zero_tol
+from .scalar import DEFAULT_ETA, Scalar, scalar_to_json, zero_tol
 
 DEFAULT_STAB_TOL = Fraction(1, 10 ** 6)
+#: grid step of the Mazur net's coefficients
+NET_RESOLUTION = Fraction(1, 4)
+#: cascade levels built beyond the requested depth
+CASCADE_PAD = 2
+#: Mazur steps built beyond the two per cascade level
+MAZUR_PAD = 6
+
+
+def default_eps_seq(mazur_depth: int, exact: bool) -> list:
+    """The Mazur eps sequence the pipelines use: 1, 1/4, 1/8, ..., up to
+    1/2^mazur_depth."""
+    one = Fraction(1) if exact else 1.0
+    return [one] + [(Fraction(1, 2 ** i) if exact else 2.0 ** -i)
+                    for i in range(2, mazur_depth + 1)]
 
 
 @dataclass(frozen=True)
@@ -72,7 +86,6 @@ class MazurCert:
     functionals: tuple  # per step: tuple of (coordinate, sign)
     zeroed_coords: tuple
     checks: tuple
-    eta: float
     seed: int
     samples: int
 
@@ -89,7 +102,7 @@ class MazurCert:
             "net_sizes": list(self.net_sizes),
             "functionals": [[[j, s] for (j, s) in step] for step in self.functionals],
             "zeroed_coords": list(self.zeroed_coords),
-            "eta": self.eta,
+            "eta": DEFAULT_ETA,
             "seed": self.seed,
             "samples": self.samples,
             "checks": [c.as_json() for c in self.checks],
@@ -111,7 +124,6 @@ class CascadeCert:
     final_pool: tuple  # stabilized indices remaining after the last level
     source: MazurCert
     checks: tuple
-    eta: float
 
     @property
     def status(self) -> str:
@@ -135,7 +147,7 @@ class CascadeCert:
             "stab_tol": scalar_to_json(self.stab_tol),
             "final_pool": list(self.final_pool),
             "source": self.source.as_json(),
-            "eta": self.eta,
+            "eta": DEFAULT_ETA,
             "checks": [c.as_json() for c in self.checks],
         }
 
@@ -154,7 +166,6 @@ class SupZeroingCert:
     residuals: tuple
     cascade: CascadeCert
     checks: tuple
-    eta: float
     seed: int
     true_k_condition_verified: bool = False
 
@@ -173,18 +184,18 @@ class SupZeroingCert:
             "l": [v.as_json() for v in self.l],
             "residuals": [scalar_to_json(r) for r in self.residuals],
             "cascade": self.cascade.as_json(),
-            "eta": self.eta,
+            "eta": DEFAULT_ETA,
             "seed": self.seed,
             "true_k_condition_verified": self.true_k_condition_verified,
             "checks": [c.as_json() for c in self.checks],
         }
 
 
-def halving_support(f: Seq, eta: float = 1e-9) -> int:
+def halving_support(f: Seq) -> int:
     """Minimal 1-based s with |f(s)| >= |f|_inf / 2 (eta slack in float mode)."""
     space = AmbientSpace.linf()
     sup = norm(f, space)
-    tol = zero_tol(f.exact, eta)
+    tol = zero_tol(f.exact)
     if sup <= tol:
         raise ZeroVector("halving_support of a (numerically) zero vector")
     half = sup / 2
@@ -377,20 +388,20 @@ def sample_basis_inequality(f_list: Sequence[Seq], eps_seq: Sequence,
     return dict(zip(pairs, worst))
 
 
-def _family_tol(family: Sequence[Seq], eta: float) -> tuple:
+def _family_tol(family: Sequence[Seq]) -> tuple:
     """(exact, zero tolerance) of a family, read off its first vector."""
     exact = family[0].exact if family else True
-    return exact, zero_tol(exact, eta)
+    return exact, zero_tol(exact)
 
 
 def mazur_checks(f: Sequence[Seq], n: Sequence[int], eps_seq: Sequence,
-                 seed: int, samples: int, eta: float) -> list:
+                 seed: int, samples: int) -> list:
     """The Mazur ledger: f_k(n_k) = 1, 1 <= |f_k| <= 2, f_k(n_i) = 0 for
     i < k, then the worst sampled basis-inequality margin per prefix
     pair (n, m):
     |sum_{k<=m} a_k f_k| * prod_{i=n..m-1} (1+eps_i) >= |sum_{k<=n} a_k f_k|.
     """
-    exact, tol = _family_tol(f, eta)
+    exact, tol = _family_tol(f)
     checks = []
     for k, (f_k, n_k) in enumerate(zip(f, n, strict=True), start=1):
         sup_fk = _sup(f_k)
@@ -399,7 +410,7 @@ def mazur_checks(f: Sequence[Seq], n: Sequence[int], eps_seq: Sequence,
         checks.append(make_check("norm_window_lower", [k], sup_fk, "ge", 1,
                                  tol))
         checks.append(make_check("norm_window_upper", [k], sup_fk, "le", 2,
-                                 tol if exact else 4 * eta))
+                                 tol if exact else 4 * DEFAULT_ETA))
         for i in range(1, k):
             checks.append(make_check("triangular_zero", [k, i],
                                      f_k.at(n[i - 1]), "abs_le", 0, tol))
@@ -411,7 +422,7 @@ def mazur_checks(f: Sequence[Seq], n: Sequence[int], eps_seq: Sequence,
     return checks
 
 
-def _net_points(f_list: Sequence[Seq], resolution, exact: bool,
+def _net_points(f_list: Sequence[Seq], exact: bool,
                 rng: random.Random) -> list:
     """Deterministic coefficient grid over the current span, used only to
     collect argmax coordinates (= kernels of sup-norm norming functionals)."""
@@ -425,7 +436,7 @@ def _net_points(f_list: Sequence[Seq], resolution, exact: bool,
             a[i] = sgn
             pts.append(a)
     # newest direction against each older one, graded by the grid
-    step = Fraction(resolution) if exact else float(resolution)
+    step = NET_RESOLUTION if exact else float(NET_RESOLUTION)
     ticks: list = []
     v = -1 * one
     while v <= one:
@@ -455,9 +466,7 @@ def _net_points(f_list: Sequence[Seq], resolution, exact: bool,
 
 
 def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
-                         net_resolution=Fraction(1, 4),
-                         eta: Optional[float] = None, seed: int = 0,
-                         samples: int = 200) -> MazurCert:
+                         seed: int = 0, samples: int = 200) -> MazurCert:
     """Unit-diagonal basic family in a sup-norm subspace.
 
     Step k scans for the minimal coordinate where some working-subspace
@@ -483,8 +492,7 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
     if depth < 1:
         raise ConfigError("depth must satisfy depth >= 1")
     exact = subspace.exact
-    eta_v = subspace.eta if eta is None else eta
-    tol = zero_tol(exact, eta_v)
+    tol = zero_tol(exact)
     t_len = subspace.truncation
     rng = random.Random(seed)
     half = Fraction(1, 2) if exact else 0.5
@@ -541,7 +549,7 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
         step_functionals: list[tuple] = []
         net_count = 0
         if k >= 2:
-            pts = _net_points(f_list, net_resolution, exact, rng)
+            pts = _net_points(f_list, exact, rng)
             net_count = len(pts)
             rows, _ = scan_rows(f_list)
             for a in pts:
@@ -560,21 +568,21 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
         functional_log.append(tuple(sorted(set(step_functionals))))
         w_basis, _ = _constrained_basis(subspace, constraints, tol)
 
-    checks = mazur_checks(f_list, n_list, eps_seq, seed, samples, eta_v)
+    checks = mazur_checks(f_list, n_list, eps_seq, seed, samples)
     for check in checks:
         if check.key == "basis_inequality_margin" and not check.passed:
             n_lo, m_hi = check.where
             raise NetTooCoarse(
                 f"sampled basis inequality failed for prefix pair "
-                f"({n_lo}, {m_hi}): margin {float(check.lhs):.3g}; refine "
-                "net_resolution")
+                f"({n_lo}, {m_hi}): margin {float(check.lhs):.3g}; the net "
+                "is too coarse")
 
     return MazurCert(space=subspace.ambient, eps_seq=tuple(eps_seq),
                      n=tuple(n_list), f=tuple(f_list),
                      net_sizes=tuple(net_sizes),
                      functionals=tuple(functional_log),
                      zeroed_coords=tuple(constraints), checks=tuple(checks),
-                     eta=eta_v, seed=seed, samples=samples)
+                     seed=seed, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -613,11 +621,11 @@ def cascade_level(f_by_index: dict, pool: Sequence[int],
 
 
 def cascade_checks(h: Sequence[Seq], t: Sequence[int], cases: Sequence[int],
-                   stab_tol: Scalar, eta: float) -> list:
+                   stab_tol: Scalar) -> list:
     """The cascade ledger: per level |h_k| within its case bound,
     h_k(t_k) = 1 and h_k(t_j) = 0 for j < k; then the post-horizon
     envelope, each h_k small at every later diagonal."""
-    _, tol = _family_tol(h, eta)
+    _, tol = _family_tol(h)
     checks = []
     for level, (h_k, t_k, case) in enumerate(zip(h, t, cases, strict=True),
                                              start=1):
@@ -639,7 +647,6 @@ def cascade_checks(h: Sequence[Seq], t: Sequence[int], cases: Sequence[int],
 
 def build_cascade(source: MazurCert, m: Sequence[int], depth: int,
                   stab_tol: Scalar = DEFAULT_STAB_TOL,
-                  eta: Optional[float] = None,
                   min_depth: Optional[int] = None) -> CascadeCert:
     """Build the cascade h_1..h_depth from the Mazur family along m, one
     ``cascade_level`` per level on the pool the previous level kept.
@@ -648,9 +655,7 @@ def build_cascade(source: MazurCert, m: Sequence[int], depth: int,
     restriction can consume indices faster than two per level, so the
     cascade stops early instead of failing once the floor is reached.
     """
-    eta_v = source.eta if eta is None else eta
-    exact = source.f[0].exact if source.f else True
-    tol = zero_tol(exact, eta_v)
+    exact, tol = _family_tol(source.f)
     if exact and not isinstance(stab_tol, Fraction):
         stab_tol = Fraction(str(stab_tol))
     if min_depth is None:
@@ -695,12 +700,12 @@ def build_cascade(source: MazurCert, m: Sequence[int], depth: int,
         cur = kept
 
     checks = cascade_checks(h_list, t_list, [c["case"] for c in trace],
-                            stab_tol, eta_v)
+                            stab_tol)
     return CascadeCert(space=source.space, m=tuple(m), t=tuple(t_list),
                        h=tuple(h_list), case_trace=tuple(trace),
                        limit_estimates=tuple(limits), stab_tol=stab_tol,
                        final_pool=tuple(cur), source=source,
-                       checks=tuple(checks), eta=eta_v)
+                       checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -722,8 +727,7 @@ def sup_zero_recursion(h_by_t: dict, s: Sequence[int]) -> list:
 
 
 def sup_zeroing_checks(h_by_t: dict, s: Sequence[int], stages: Sequence[list],
-                       l: Sequence[Seq], eps: Scalar, k_est: Scalar,
-                       eta: float) -> list:
+                       l: Sequence[Seq], eps: Scalar, k_est: Scalar) -> list:
     """The final zeroing ledger: greedy selection sums; per k, step norms
     and residual |l_k - h_{s_k}| of the recursion stages, then |l_k| <= 9,
     l_k(s_k) = 1 and l_k(s_j) = 0 (j != k) on l; then the normalized gate
@@ -731,7 +735,7 @@ def sup_zeroing_checks(h_by_t: dict, s: Sequence[int], stages: Sequence[list],
 
     The emitter passes the last stages as l, verify the stored l, so a
     tampered coordinate is named by its zero_pattern entry."""
-    exact, tol = _family_tol(l, eta)
+    exact, tol = _family_tol(l)
     checks = []
     for n_sel in range(1, len(s)):
         total = sum(abs(h_by_t[s_i].at(s[n_sel])) for s_i in s[:n_sel])
@@ -761,15 +765,9 @@ def sup_zeroing_checks(h_by_t: dict, s: Sequence[int], stages: Sequence[list],
     return checks
 
 
-def construct_sup_zeroed_sequence(subspace: Subspace, depth: int,
-                                  k_est=None, *,
+def construct_sup_zeroed_sequence(subspace: Subspace, depth: int, *,
                                   stab_tol: Scalar = DEFAULT_STAB_TOL,
-                                  net_resolution=Fraction(1, 4),
-                                  eps_seq: Optional[Sequence] = None,
                                   seed: int = 0,
-                                  eta: Optional[float] = None,
-                                  cascade_pad: int = 2,
-                                  mazur_pad: int = 6,
                                   samples: int = 200,
                                   mazur_cert: Optional[MazurCert] = None,
                                   m_indices: Optional[Sequence[int]] = None
@@ -792,21 +790,15 @@ def construct_sup_zeroed_sequence(subspace: Subspace, depth: int,
             f"truncation must satisfy T >= 4*depth "
             f"(T={subspace.truncation}, depth={depth})")
     exact = subspace.exact
-    eta_v = subspace.eta if eta is None else eta
     if exact and not isinstance(stab_tol, Fraction):
         stab_tol = Fraction(str(stab_tol))
 
-    cascade_depth = depth + cascade_pad
+    cascade_depth = depth + CASCADE_PAD
     if mazur_cert is None:
-        mazur_depth = 2 * cascade_depth + mazur_pad
-        if eps_seq is None:
-            one = Fraction(1) if exact else 1.0
-            eps_seq = [one] + [
-                (Fraction(1, 2 ** i) if exact else 2.0 ** -i)
-                for i in range(2, mazur_depth + 1)]
-        mazur_cert = mazur_basic_sequence(subspace, eps_seq, mazur_depth,
-                                          net_resolution=net_resolution,
-                                          eta=eta_v, seed=seed, samples=samples)
+        mazur_depth = 2 * cascade_depth + MAZUR_PAD
+        mazur_cert = mazur_basic_sequence(
+            subspace, default_eps_seq(mazur_depth, exact), mazur_depth,
+            seed=seed, samples=samples)
     m = list(m_indices) if m_indices is not None else list(mazur_cert.n)
     # each level consumes 2 indices and must leave >= 4 stabilized ones
     cascade_depth = min(cascade_depth, max(0, (len(m) - 4) // 2))
@@ -815,11 +807,10 @@ def construct_sup_zeroed_sequence(subspace: Subspace, depth: int,
             f"only {cascade_depth} cascade levels possible from {len(m)} "
             f"indices; need at least depth = {depth}")
     cascade = build_cascade(mazur_cert, m, cascade_depth, stab_tol=stab_tol,
-                            eta=eta_v, min_depth=depth)
+                            min_depth=depth)
 
-    if k_est is None:
-        k_est = basis_constant_lower_bound(cascade.h, subspace.ambient,
-                                           trials=64, seed=seed)
+    k_est = basis_constant_lower_bound(cascade.h, subspace.ambient,
+                                       trials=64, seed=seed)
     one = Fraction(1) if exact else 1.0
     if k_est < 1:
         k_est = one
@@ -848,11 +839,10 @@ def construct_sup_zeroed_sequence(subspace: Subspace, depth: int,
 
     stages = sup_zero_recursion(h_by_t, s_list)
     l_list = [path[-1] for path in stages]
-    checks = sup_zeroing_checks(h_by_t, s_list, stages, l_list, eps, k_est,
-                                eta_v)
+    checks = sup_zeroing_checks(h_by_t, s_list, stages, l_list, eps, k_est)
     residuals = [c.lhs for c in checks if c.key == "residual"]
 
     return SupZeroingCert(space=subspace.ambient, eps=eps, k_est=k_est,
                           depth=depth, s=tuple(s_list), l=tuple(l_list),
                           residuals=tuple(residuals), cascade=cascade,
-                          checks=tuple(checks), eta=eta_v, seed=seed)
+                          checks=tuple(checks), seed=seed)

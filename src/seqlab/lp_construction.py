@@ -37,6 +37,7 @@ from .core import (
     AmbientSpace,
     Seq,
     Subspace,
+    combine,
     norm,
     normalize,
     scan_prefix_sups,
@@ -54,7 +55,7 @@ from .errors import (
     UnnormalizedBlock,
 )
 from .operators import ProjectionOp
-from .scalar import Scalar, zero_tol
+from .scalar import DEFAULT_ETA, LOOSE_ETA, Scalar, zero_tol
 
 #: Strict upper bound for eps in the dominant-sequence construction.
 DOMINANT_EPS_SUP = Fraction(4, 33)
@@ -84,7 +85,6 @@ class DominanceCert:
     sigma: tuple
     delta: Scalar
     checks: tuple
-    eta: float
 
     @property
     def status(self) -> str:
@@ -99,7 +99,7 @@ class DominanceCert:
             "n_cut": list(self.n_cut),
             "f": [v.as_json() for v in self.f],
             "delta": _scalar_json(self.delta),
-            "eta": self.eta,
+            "eta": DEFAULT_ETA,
             "checks": [c.as_json() for c in self.checks],
         }
 
@@ -163,7 +163,6 @@ class ZeroingCert:
     perturbation: PerturbationCert
     q_op: Optional[ProjectionOp]
     checks: tuple
-    eta: float
 
     @property
     def status(self) -> str:
@@ -184,7 +183,7 @@ class ZeroingCert:
             "dominance": self.dominance.as_json(),
             "perturbation": self.perturbation.as_json(),
             "q_op": None if self.q_op is None else self.q_op.as_json(),
-            "eta": self.eta,
+            "eta": DEFAULT_ETA,
             "checks": [c.as_json() for c in self.checks],
         }
 
@@ -259,8 +258,7 @@ def dominance_checks(space: AmbientSpace, s: Sequence[int],
 
 
 def construct_dominant_sequence(subspace: Subspace, eps, depth: int,
-                                f1: Optional[Seq] = None,
-                                eta: Optional[float] = None) -> DominanceCert:
+                                f1: Optional[Seq] = None) -> DominanceCert:
     """Build the dominant basic family f_1..f_depth with markers s, cuts N.
 
     Choices are deterministic: each marker s and cut N is the smallest
@@ -277,18 +275,17 @@ def construct_dominant_sequence(subspace: Subspace, eps, depth: int,
     if t_len < 4 * depth:
         raise ConfigError(
             f"truncation must satisfy T >= 4*depth (T={t_len}, depth={depth})")
-    eta_v = subspace.eta if eta is None else eta
     exact = subspace.exact and space.p == 1
-    tol = zero_tol(exact, eta_v)
+    tol = zero_tol(exact)
 
     if f1 is None:
-        f_cur = normalize(subspace.reduced_basis[0], space, eta=eta_v)
+        f_cur = normalize(subspace.reduced_basis[0], space)
     else:
         if len(f1) != t_len:
             raise LengthMismatch(f"f1 length {len(f1)} vs truncation {t_len}")
-        if not subspace.contains(f1, eta=max(eta_v, 1e-7) if not exact else None):
+        if subspace.residual_norm(f1) > (0 if subspace.exact else LOOSE_ETA):
             raise ConfigError("f1 must lie in the span of the subspace")
-        f_cur = normalize(f1, space, eta=eta_v)
+        f_cur = normalize(f1, space)
 
     fs = [f_cur]
     s_list: list[int] = []
@@ -311,7 +308,7 @@ def construct_dominant_sequence(subspace: Subspace, eps, depth: int,
 
     for k in range(1, depth):
         # fresh unit vector vanishing on the prefix 1..N_k
-        f_next = vanish_on_prefix(subspace, cut_list[-1], eta=eta_v)
+        f_next = vanish_on_prefix(subspace, cut_list[-1])
         budget = eps / 2 ** (k + 1)
         # smallest marker beyond the cut where f_next dominates predecessors
         s_next = None
@@ -341,28 +338,28 @@ def construct_dominant_sequence(subspace: Subspace, eps, depth: int,
                 f"< eps/2^{k + 2}; T too small")
         cut_list.append(n_next)
 
-    sigma, f_tilde, g = window_blocks(fs, cut_list, space, eta_v)
+    sigma, f_tilde, g = window_blocks(fs, cut_list, space)
     checks, delta = dominance_checks(space, s_list, cut_list, fs, f_tilde, g,
                                      eps, tol)
 
     return DominanceCert(space=space, eps=eps, depth=depth, s=tuple(s_list),
                          n_cut=tuple(cut_list), f=tuple(fs),
                          f_tilde=tuple(f_tilde), g=tuple(g), sigma=tuple(sigma),
-                         delta=delta, checks=tuple(checks), eta=eta_v)
+                         delta=delta, checks=tuple(checks))
 
 
-def window_blocks(f: Sequence[Seq], cuts: Sequence[int], space: AmbientSpace,
-                  eta: float) -> tuple[list, list, list]:
+def window_blocks(f: Sequence[Seq], cuts: Sequence[int],
+                  space: AmbientSpace) -> tuple[list, list, list]:
     """The windows sigma_k = [N_{k-1} + 1, N_k] (N_0 = 0) that the cuts
     N_k make, the truncations f_tilde_k = f_k on sigma_k, and the
     normalized blocks g_k = f_tilde_k / |f_tilde_k|."""
     sigma = [(lo + 1, hi) for lo, hi in zip((0, *cuts), cuts)]
     f_tilde = [f_k.restrict(w) for f_k, w in zip(f, sigma, strict=True)]
-    return sigma, f_tilde, [normalize(ft, space, eta=eta) for ft in f_tilde]
+    return sigma, f_tilde, [normalize(ft, space) for ft in f_tilde]
 
 
 def block_projection(blocks: Sequence[Seq], sigma: Sequence[tuple],
-                     p, eta: float = 1e-9) -> ProjectionOp:
+                     p) -> ProjectionOp:
     """Norm-1 projection onto the span of disjointly windowed unit blocks.
 
     P(x) = sum_k phi_k(x) g_k with phi_k the norming functional of g_k
@@ -388,10 +385,10 @@ def block_projection(blocks: Sequence[Seq], sigma: Sequence[tuple],
         covered.append(window)
         leak = max((abs(v) for j, v in enumerate(gk.coords)
                     if not lo <= j + 1 <= hi), default=0)
-        if leak > eta:
+        if leak > DEFAULT_ETA:
             raise OverlappingWindows(
                 f"block {k} has coordinate mass {leak} outside its window")
-        if abs(norm(gk, space) - 1) > eta:
+        if abs(norm(gk, space) - 1) > DEFAULT_ETA:
             raise UnnormalizedBlock(f"block {k} has norm {norm(gk, space)}, not 1")
 
     t_len = len(blocks[0])
@@ -419,8 +416,8 @@ def block_projection(blocks: Sequence[Seq], sigma: Sequence[tuple],
 
 def small_perturbation_cert(base: Sequence[Seq], perturbed: Sequence[Seq],
                             k_const, projection: Optional[ProjectionOp],
-                            space: AmbientSpace, p_norm=None,
-                            eta: float = 1e-9) -> PerturbationCert:
+                            space: AmbientSpace,
+                            p_norm=None) -> PerturbationCert:
     """Certificate for the small-perturbation principle.
 
     delta = sum |perturbed_k - base_k|; ok iff 8*K*delta*P_norm < 1.
@@ -469,8 +466,7 @@ def perturbation_checks(k_const, p_norm, delta) -> tuple[list, Optional[tuple]]:
 
 
 def projection_onto_family(family: Sequence[Seq], block_p: ProjectionOp,
-                           space: AmbientSpace,
-                           eta: float = 1e-9) -> Optional[ProjectionOp]:
+                           space: AmbientSpace) -> Optional[ProjectionOp]:
     """Concrete projection onto span(family): invert the transfer on the
     family and compose with the block projection.
 
@@ -486,26 +482,12 @@ def projection_onto_family(family: Sequence[Seq], block_p: ProjectionOp,
         for fj in family:
             row.append(sum(a * b for a, b in zip(phi.coords, fj.coords)))
         matrix.append(row)
-    inv = linalg.invert(matrix, eta)
+    inv = linalg.invert(matrix, DEFAULT_ETA)
     if inv is None:
         return None
-    t_len = len(family[0])
-    exact = all(f.exact for f in family) and all(
-        phi.exact for phi in block_p.functionals[:m])
-    functionals = []
-    for j in range(m):
-        zero = Fraction(0) if exact else 0.0
-        acc = [zero] * t_len
-        for k in range(m):
-            c = inv[j][k]
-            if c == 0:
-                continue
-            for idx, v in enumerate(block_p.functionals[k].coords):
-                acc[idx] += c * v
-        if not exact:
-            acc = [float(v) for v in acc]
-        functionals.append(Seq(tuple(acc), exact, zero if exact else 0.0))
-    return ProjectionOp(tuple(functionals), tuple(family), space)
+    phis = block_p.functionals[:m]
+    return ProjectionOp(tuple(combine(phis, row) for row in inv),
+                        tuple(family), space)
 
 
 def zero_recursion(f: Sequence[Seq], s: Sequence[int]):
@@ -569,24 +551,25 @@ def zeroing_checks(space: AmbientSpace, s: Sequence[int],
     return checks
 
 
-def q_checks(q: ProjectionOp, q_bound, fix_tol, eta) -> list:
+def q_checks(q: ProjectionOp, q_bound) -> list:
     """The projection ledger, exact finite checks on the stored psi_j and
     f_k (see operators): per k, a bound on |Q f_k - f_k|_p read from the
     Gram matrix G_jk = psi_j(f_k), 0 exactly when G = I; a bound on
     ||Q^2 - Q||; and, given q_bound, Schur's test bound on ||Q|| below
     it."""
+    fix_tol = Fraction(0) if q.vectors[0].exact else LOOSE_ETA
     fixes, idem = q.fixed_point_bounds()
     checks = [make_check("q_fixes_family", [k], fix, "abs_le", 0, fix_tol)
               for k, fix in enumerate(fixes, start=1)]
     checks.append(make_check("q_idempotent", [], idem, "abs_le", 0, fix_tol))
     if q_bound is not None:
         checks.append(make_check("q_norm_certified_le_bound", [],
-                                 q.certified_norm_bound(), "le", q_bound, eta))
+                                 q.certified_norm_bound(), "le", q_bound,
+                                 DEFAULT_ETA))
     return checks
 
 
 def construct_zeroed_sequence(subspace: Subspace, eps, depth: int,
-                              eta: Optional[float] = None,
                               f1: Optional[Seq] = None) -> ZeroingCert:
     """Correct the dominant family until each vector vanishes at every
     marker except its own.
@@ -598,14 +581,12 @@ def construct_zeroed_sequence(subspace: Subspace, eps, depth: int,
     room to spare (the 512*eps margin).
     """
     _check_eps(eps, ZEROING_EPS_SUP, "coordinate-zeroing")
-    dom = construct_dominant_sequence(subspace, eps, depth, f1=f1, eta=eta)
+    dom = construct_dominant_sequence(subspace, eps, depth, f1=f1)
     space = dom.space
-    eta_v = dom.eta
-    exact = dom.f[0].exact
-    tol = zero_tol(exact, eta_v)
+    tol = zero_tol(dom.f[0].exact)
 
-    proj = block_projection(dom.g, dom.sigma, space.p, eta=eta_v)
-    pert = small_perturbation_cert(dom.g, dom.f, 1, proj, space, eta=eta_v)
+    proj = block_projection(dom.g, dom.sigma, space.p)
+    pert = small_perturbation_cert(dom.g, dom.f, 1, proj, space)
 
     # the recursion divides by f_m(s_m) for every m > 1
     for m in range(2, depth + 1):
@@ -619,16 +600,14 @@ def construct_zeroed_sequence(subspace: Subspace, eps, depth: int,
     residuals = [c.lhs for c in checks if c.key == "residual"]
     iter_depths = [depth - k for k in range(1, depth + 1)]
 
-    q_op = projection_onto_family(dom.f, proj, space, eta=eta_v)
+    q_op = projection_onto_family(dom.f, proj, space)
     if q_op is not None:
-        fix_tol = max(eta_v, 1e-7) if not exact else tol
-        checks += q_checks(q_op, pert.q_norm_bound, fix_tol, eta_v)
+        checks += q_checks(q_op, pert.q_norm_bound)
 
     return ZeroingCert(space=space, eps=eps, depth=depth, s=dom.s,
                        l=tuple(l_final), residuals=tuple(residuals),
                        iteration_depth=tuple(iter_depths), dominance=dom,
-                       perturbation=pert, q_op=q_op, checks=tuple(checks),
-                       eta=eta_v)
+                       perturbation=pert, q_op=q_op, checks=tuple(checks))
 
 
 def basis_constant_lower_bound(family: Sequence[Seq], space: AmbientSpace,

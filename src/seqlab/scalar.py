@@ -14,13 +14,20 @@ from .errors import ConfigError, NonFiniteCoordinate
 
 Scalar = Union[Fraction, float]
 
-#: Default zero/residual tolerance in float mode; exact mode uses 0.
+#: The zero/residual tolerance eta of float mode; exact mode uses 0.
+#: Certificates store it, and verify checks the stored value against it.
 DEFAULT_ETA = 1e-9
 
 
-def zero_tol(exact: bool, eta: float = DEFAULT_ETA) -> Scalar:
+def zero_tol(exact: bool) -> Scalar:
     """Zero-test tolerance for the given mode: 0 when exact, eta otherwise."""
-    return Fraction(0) if exact else eta
+    return Fraction(0) if exact else DEFAULT_ETA
+
+
+#: The looser float tolerance of residuals that chains of float operations
+#: accumulate: a given f1's membership in the span, and the fixed points
+#: of the lp projections.
+LOOSE_ETA = 1e-7
 
 
 def check_finite(value: Scalar) -> Scalar:

@@ -18,6 +18,11 @@ vector once: verify rebuilds the lp windows and blocks from f and the
 cuts as the emitter does, and the projection Q from its stored
 functionals and f.
 
+Tolerances: every zero and rerun tolerance is 0 in exact mode and
+``scalar.DEFAULT_ETA`` in float mode, never a value read from the
+certificate; each level that stores eta is checked against the constant
+(eta_matches).
+
 Numerics: each stored lp vector is lifted once to an exact rational
 ``Seq`` (a stored double is a rational), so ``core.norm`` and
 ``tail_norm`` evaluate l1 norms exactly and integer-p norms with a
@@ -53,7 +58,7 @@ from .linf_construction import (
 from .lp_construction import (dominance_checks, perturbation_checks, q_checks,
                               window_blocks, zero_recursion, zeroing_checks)
 from .operators import ProjectionOp
-from .scalar import parse_scalar, scalar_to_json, zero_tol
+from .scalar import DEFAULT_ETA, parse_scalar, scalar_to_json, zero_tol
 from .witnesses import (c0_density_checks, c0_repair, lp_density_checks,
                         witness_checks)
 
@@ -115,10 +120,10 @@ def _scalar(v):
     return parse_scalar(v, isinstance(v, str))
 
 
-def _rerun_tol(stored: Seq, eta: float):
-    """Tolerance of a stored-versus-rerun gap: 0 in exact mode,
-    max(eta, 1e-12) in float mode."""
-    return 0 if stored.exact else max(eta, 1e-12)
+def _check_eta(doc, ctx: _Ctx) -> None:
+    """eta_matches: the stored eta is the one every tolerance here is
+    taken from; verify never reads its tolerances from the certificate."""
+    ctx.check("eta_matches", [], float(doc["eta"]), "eq", DEFAULT_ETA, 0)
 
 
 # -- dispatch ---------------------------------------------------------------
@@ -198,15 +203,14 @@ def _verify_lineability(doc, ctx: _Ctx):
 def _verify_dominance(doc, ctx: _Ctx):
     require(doc, "space", "eps", "depth", "s", "n_cut", "f", "delta", "eta",
             "checks")
+    _check_eta(doc, ctx)
     space = AmbientSpace.from_json(doc["space"])
     eps = _scalar(doc["eps"])
-    eta = float(doc["eta"])
     s = [int(v) for v in doc["s"]]
     cuts = [int(v) for v in doc["n_cut"]]
     f = [Seq.from_json(o) for o in doc["f"]]
-    _, f_tilde, g = window_blocks(f, cuts, space, eta)
-    tol = zero_tol(f[0].exact, eta)
-    rerun_tol = _rerun_tol(f[0], eta)
+    _, f_tilde, g = window_blocks(f, cuts, space)
+    tol = zero_tol(f[0].exact)
 
     ordered = s[0] == cuts[0] and all(cuts[k - 1] < s[k] < cuts[k]
                                       for k in range(1, len(s)))
@@ -222,7 +226,7 @@ def _verify_dominance(doc, ctx: _Ctx):
         ctx.check("block_unit", [k], abs(norm(gx, space) - 1), "abs_le", 0,
                   tol)
     ctx.check("delta_matches", [], abs(delta - _scalar(doc["delta"])),
-              "abs_le", 0, rerun_tol)
+              "abs_le", 0, tol)
     return f, delta, space, eps, tol
 
 
@@ -254,8 +258,8 @@ def _verify_zeroing(doc, ctx: _Ctx):
             "iteration_depth", "dominance", "perturbation", "eta", "checks")
     f, delta, space, eps_dom, tol = _verify_dominance(doc["dominance"],
                                                       ctx.sub("dominance"))
+    _check_eta(doc, ctx)
     eps = _scalar(doc["eps"])
-    eta = float(doc["eta"])
     ctx.check("eps_consistent", [], abs(float(eps) - float(eps_dom)),
               "abs_le", 0, 0)
     pert = doc["perturbation"]
@@ -277,14 +281,12 @@ def _verify_zeroing(doc, ctx: _Ctx):
     checks = zeroing_checks(space, s, lifted_stages(), ls, eps, q_bound, tol)
     if doc.get("q_op"):
         psi = tuple(Seq.from_json(o) for o in doc["q_op"]["functionals"])
-        q = ProjectionOp(psi, tuple(f), space)
-        fix_tol = tol if f[0].exact else max(eta, 1e-7)
-        checks += q_checks(q, q_bound, fix_tol, eta)
+        checks += q_checks(ProjectionOp(psi, tuple(f), space), q_bound)
     ctx.ledger(doc["checks"], checks)
     steps = [len(s) - k for k in range(1, len(s) + 1)]
     ctx.check("iteration_depth_matches", [],
               0 if list(doc["iteration_depth"]) == steps else 1, "eq", 0, 0)
-    rerun_tol = _rerun_tol(ls[0], eta)
+    rerun_tol = zero_tol(ls[0].exact)
     for k, (rerun, l_k) in enumerate(zip(reruns, ls), start=1):
         ctx.check("l_matches_recursion", [k], norm(l_k.sub(rerun), _SUP),
                   "abs_le", 0, rerun_tol)
@@ -304,6 +306,7 @@ def _check_residuals(doc, checks, ctx: _Ctx, tol) -> None:
 def _verify_mazur(doc, ctx: _Ctx):
     require(doc, "space", "eps_seq", "n", "f", "eta", "seed", "samples",
             "checks")
+    _check_eta(doc, ctx)
     eps_seq = [_scalar(e) for e in doc["eps_seq"]]
     n_list = [int(v) for v in doc["n"]]
     fs = [Seq.from_json(o) for o in doc["f"]]
@@ -314,7 +317,7 @@ def _verify_mazur(doc, ctx: _Ctx):
               0 if all(0 < e < 1 for e in eps_seq[1:]) else 1, "eq", 0, 0)
     ctx.ledger(doc["checks"],
                mazur_checks(fs, n_list, eps_seq, int(doc["seed"]),
-                            int(doc["samples"]), float(doc["eta"])))
+                            int(doc["samples"])))
     return fs, n_list
 
 
@@ -322,8 +325,8 @@ def _verify_cascade(doc, ctx: _Ctx):
     require(doc, "space", "m", "t", "h", "case_trace", "limit_estimates",
             "stab_tol", "final_pool", "source", "eta", "checks")
     fs, n_list = _verify_mazur(doc["source"], ctx.sub("mazur"))
+    _check_eta(doc, ctx)
     stab_tol = _scalar(doc["stab_tol"])
-    eta = float(doc["eta"])
     m = [int(v) for v in doc["m"]]
     t_list = [int(v) for v in doc["t"]]
     hs = [Seq.from_json(o) for o in doc["h"]]
@@ -331,7 +334,7 @@ def _verify_cascade(doc, ctx: _Ctx):
     n_set = set(n_list)
     ctx.check("m_subset_of_n", [], 0 if all(v in n_set for v in m) else 1,
               "eq", 0, 0)
-    ctx.ledger(doc["checks"], cascade_checks(hs, t_list, cases, stab_tol, eta))
+    ctx.ledger(doc["checks"], cascade_checks(hs, t_list, cases, stab_tol))
     f_by_index = dict(zip(n_list, fs))
     pool = m
     levels = zip(hs, t_list, cases, doc["case_trace"], doc["limit_estimates"],
@@ -341,7 +344,7 @@ def _verify_cascade(doc, ctx: _Ctx):
         ctx.check("case_matches", [level], case, "eq", case_k, 0)
         ctx.check("t_matches", [level], t_idx, "eq", t_k, 0)
         ctx.check("h_matches", [level], norm(h_k.sub(h), _SUP), "abs_le", 0,
-                  _rerun_tol(h_k, eta))
+                  zero_tol(h_k.exact))
         rerun = {"L1": scalar_to_json(l1), "L2": scalar_to_json(l2)}
         same = (trace == dict(rerun, case=case, t=t_idx,
                               bound=scalar_to_json(CASE_BOUNDS[case]))
@@ -356,7 +359,7 @@ def _verify_sup_zeroing(doc, ctx: _Ctx):
     require(doc, "space", "eps", "k_est", "depth", "s", "l", "residuals",
             "cascade", "eta", "checks")
     hs, t_list = _verify_cascade(doc["cascade"], ctx.sub("cascade"))
-    eta = float(doc["eta"])
+    _check_eta(doc, ctx)
     s_list = [int(v) for v in doc["s"]]
     ls = [Seq.from_json(o) for o in doc["l"]]
     depth_ok = int(doc["depth"]) == len(s_list) == len(ls)
@@ -364,10 +367,9 @@ def _verify_sup_zeroing(doc, ctx: _Ctx):
     h_by_t = dict(zip(t_list, hs))
     stages = sup_zero_recursion(h_by_t, s_list)
     checks = sup_zeroing_checks(h_by_t, s_list, stages, ls,
-                                _scalar(doc["eps"]), _scalar(doc["k_est"]),
-                                eta)
+                                _scalar(doc["eps"]), _scalar(doc["k_est"]))
     ctx.ledger(doc["checks"], checks)
-    rerun_tol = _rerun_tol(ls[0], eta)
+    rerun_tol = zero_tol(ls[0].exact)
     for k, (path, l_k) in enumerate(zip(stages, ls), start=1):
         ctx.check("l_matches_recursion", [k], norm(l_k.sub(path[-1]), _SUP),
                   "abs_le", 0, rerun_tol)
@@ -380,10 +382,11 @@ def _verify_sup_zeroing(doc, ctx: _Ctx):
 def _verify_witness(doc, ctx: _Ctx):
     require(doc, "space", "s", "even_family", "forbidden", "rank",
             "samples_checked", "eta", "checks")
+    _check_eta(doc, ctx)
     s = [int(v) for v in doc["s"]]
     even = [Seq.from_json(o) for o in doc["even_family"]]
     forbidden = [int(v) for v in doc["forbidden"]]
-    tol = zero_tol(even[0].exact if even else True, float(doc["eta"]))
+    tol = zero_tol(even[0].exact if even else True)
     checks, rank = witness_checks(even, forbidden, len(s), tol)
     ctx.ledger(doc["checks"], checks)
     ctx.check("rank_matches", [], rank, "eq", int(doc["rank"]), 0)
@@ -398,13 +401,13 @@ def _verify_density(doc, ctx: _Ctx):
     eps = _scalar(doc["eps"])
     f = Seq.from_json(doc["input"])
     result = Seq.from_json(doc["result"])
+    tol = zero_tol(result.exact)
     if doc["path"] == "lp":
         require(doc, "zeroing", "forbidden", "eps_inner")
         nested = doc["zeroing"]
         _verify_zeroing(nested, ctx.sub("zeroing"))
         space = AmbientSpace.from_json(nested["space"])
         s = [int(v) for v in nested["s"]]
-        tol = zero_tol(result.exact, float(nested["eta"]))
         checks, dist = lp_density_checks(space, f.lift(), result.lift(),
                                          s[1:], eps, tol)
         ctx.check("forbidden_matches", [],
@@ -418,7 +421,6 @@ def _verify_density(doc, ctx: _Ctx):
         nested = doc["sup_zeroing"]
         ls, s = _verify_sup_zeroing(nested, ctx.sub("sup_zeroing"))
         space = AmbientSpace.from_json(nested["space"])
-        tol = zero_tol(result.exact, float(nested["eta"]))
         checks, dist, series = c0_density_checks(space, f, result, s, eps, tol)
         ctx.check("selected_matches", [], 0 if doc["selected"] == s else 1,
                   "eq", 0, 0)
@@ -430,5 +432,5 @@ def _verify_density(doc, ctx: _Ctx):
     ctx.check("distance_matches", [], abs(_scalar(doc["distance"]) - dist),
               "abs_le", 0, tol)
     ctx.check("result_matches", [], norm(result.sub(rerun), _SUP), "abs_le", 0,
-              _rerun_tol(result, float(nested["eta"])))
+              tol)
     ctx.ledger(doc["checks"], checks)

@@ -28,11 +28,17 @@ from .errors import (
     WitnessViolation,
     ZeroVector,
 )
-from .linf_construction import SupZeroingCert, construct_sup_zeroed_sequence, \
-    mazur_basic_sequence
+from .linf_construction import (
+    CASCADE_PAD,
+    DEFAULT_STAB_TOL,
+    SupZeroingCert,
+    construct_sup_zeroed_sequence,
+    default_eps_seq,
+    mazur_basic_sequence,
+)
 from .lp_construction import ZeroingCert, construct_zeroed_sequence
 from .operators import ProjectionOp
-from .scalar import Scalar, scalar_to_json, zero_tol
+from .scalar import DEFAULT_ETA, LOOSE_ETA, Scalar, scalar_to_json, zero_tol
 
 SourceCert = Union[ZeroingCert, SupZeroingCert]
 
@@ -49,7 +55,6 @@ class WitnessCert:
     rank: int
     samples_checked: int  # entries l_{2i}(s_{2j-1}) the parity check reads
     checks: tuple
-    eta: float
 
     @property
     def status(self) -> str:
@@ -64,7 +69,7 @@ class WitnessCert:
             "forbidden": list(self.forbidden),
             "rank": self.rank,
             "samples_checked": self.samples_checked,
-            "eta": self.eta,
+            "eta": DEFAULT_ETA,
             "scope_note": ("finite-rank evidence only: the witness family "
                            "grows with depth/truncation; cardinality claims "
                            "about generator systems are outside the "
@@ -75,9 +80,9 @@ class WitnessCert:
 
 def _family_and_markers(cert: SourceCert):
     if isinstance(cert, ZeroingCert):
-        return list(cert.l), list(cert.s), "zeroing", cert.space, cert.eta
+        return list(cert.l), list(cert.s), "zeroing", cert.space
     if isinstance(cert, SupZeroingCert):
-        return list(cert.l), list(cert.s), "sup_zeroing", cert.space, cert.eta
+        return list(cert.l), list(cert.s), "sup_zeroing", cert.space
     raise ConfigError(f"unsupported source certificate {type(cert).__name__}")
 
 
@@ -89,8 +94,7 @@ def spaceable_witness(cert: SourceCert) -> WitnessCert:
     is a hard failure.  The even family must be linearly independent
     (rank = size).
     """
-    family, markers, kind, space, eta = _family_and_markers(cert)
-    return witness_from_parts(family, markers, kind, space, eta)
+    return witness_from_parts(*_family_and_markers(cert))
 
 
 def witness_from_doc(doc: dict) -> WitnessCert:
@@ -102,8 +106,7 @@ def witness_from_doc(doc: dict) -> WitnessCert:
     space = AmbientSpace.from_json(doc["space"])
     family = [Seq.from_json(o) for o in doc["l"]]
     markers = list(doc["s"])
-    eta = float(doc.get("eta", 1e-9))
-    return witness_from_parts(family, markers, kind, space, eta)
+    return witness_from_parts(family, markers, kind, space)
 
 
 def witness_checks(even: Sequence[Seq], forbidden: Sequence[int], depth: int,
@@ -129,14 +132,14 @@ def witness_checks(even: Sequence[Seq], forbidden: Sequence[int], depth: int,
 
 
 def witness_from_parts(family: list, markers: list, kind: str,
-                       space: AmbientSpace, eta: float) -> WitnessCert:
+                       space: AmbientSpace) -> WitnessCert:
     if len(markers) < 4:
         raise TooFewIndices(
             f"witness split needs >= 4 constructed indices, got {len(markers)}")
     exact = family[0].exact
     if any(f.exact != exact for f in family):
         raise ConfigError("witness family mixes exact and float vectors")
-    tol = zero_tol(exact, eta)
+    tol = zero_tol(exact)
     even = family[1::2]       # positions 2, 4, ...
     forbidden = markers[0::2]  # s_1, s_3, ...
     checks, rank = witness_checks(even, forbidden, len(markers), tol)
@@ -149,7 +152,7 @@ def witness_from_parts(family: list, markers: list, kind: str,
     return WitnessCert(source_kind=kind, space=space, s=tuple(markers),
                        even_family=tuple(even), forbidden=tuple(forbidden),
                        rank=rank, samples_checked=len(even) * len(forbidden),
-                       checks=tuple(checks), eta=eta)
+                       checks=tuple(checks))
 
 
 def complement_split(cert: ZeroingCert) -> tuple[ProjectionOp, dict]:
@@ -170,7 +173,6 @@ def complement_split(cert: ZeroingCert) -> tuple[ProjectionOp, dict]:
             "source certificate lacks a passing perturbation certificate")
     family, markers = list(cert.l), list(cert.s)
     exact = family[0].exact
-    tol = zero_tol(exact, cert.eta)
     t_len = len(family[0])
     functionals = []
     vectors = []
@@ -184,7 +186,7 @@ def complement_split(cert: ZeroingCert) -> tuple[ProjectionOp, dict]:
         vectors.append(lk)
     split = ProjectionOp(tuple(functionals), tuple(vectors), cert.space)
 
-    fix_tol = tol if exact else max(cert.eta, 1e-7)
+    fix_tol = Fraction(0) if exact else LOOSE_ETA
     fixes, idem = split.fixed_point_bounds()
     kills = split.combination_bounds(zip(*split.gram(family[0::2])))
     report = {
@@ -209,7 +211,7 @@ def lp_density_checks(space: AmbientSpace, f: Seq, result: Seq,
     scale = norm(f, space)
     dist = norm(result.sub(f), space)
     checks = [make_check("repair_distance", [], dist, "le", scale * eps / 2, tol)]
-    marker_tol = tol if tol == 0 else float(scale) * 1e-9
+    marker_tol = tol if tol == 0 else float(scale) * DEFAULT_ETA
     for j, s_val in enumerate(forbidden, start=2):
         checks.append(make_check("repair_zero_at_marker", [j], result.at(s_val),
                                  "abs_le", 0, marker_tol))
@@ -241,8 +243,7 @@ def c0_density_checks(space: AmbientSpace, f: Seq, result: Seq,
 
 
 def density_repair_lp(subspace: Subspace, f: Seq, eps,
-                      depth: int = 4,
-                      eta: Optional[float] = None) -> tuple[Seq, dict]:
+                      depth: int = 4) -> tuple[Seq, dict]:
     """Repair f in an lp span: rerun the zeroing pipeline seeded with
     f/|f| and rescale its first corrected vector.
 
@@ -250,15 +251,13 @@ def density_repair_lp(subspace: Subspace, f: Seq, eps,
     later markers."""
     if norm(f, subspace.ambient) == 0:
         raise ZeroVector("density repair needs a nonzero f")
-    eta_v = subspace.eta if eta is None else eta
     scale = norm(f, subspace.ambient)
     eps_inner = min(eps, Fraction(1, 1024))
-    cert = construct_zeroed_sequence(subspace, eps_inner, depth,
-                                     eta=eta_v, f1=f)
+    cert = construct_zeroed_sequence(subspace, eps_inner, depth, f1=f)
     result = cert.l[0].scale(scale)
     forbidden = list(cert.s[1:])
     checks, dist = lp_density_checks(subspace.ambient, f, result, forbidden,
-                                     eps, zero_tol(result.exact, eta_v))
+                                     eps, zero_tol(result.exact))
     report = {
         "path": "lp",
         "eps": scalar_to_json(eps),
@@ -274,43 +273,36 @@ def density_repair_lp(subspace: Subspace, f: Seq, eps,
 
 
 def density_repair_c0(subspace: Subspace, f: Seq, eps,
-                      depth: int = 4, eta: Optional[float] = None,
-                      seed: int = 0, mazur_cert=None,
-                      **pipeline_kwargs) -> tuple[Seq, dict]:
+                      depth: int = 4, seed: int = 0, mazur_cert=None,
+                      stab_tol: Scalar = DEFAULT_STAB_TOL,
+                      mazur_depth: Optional[int] = None) -> tuple[Seq, dict]:
     """Repair f in a c0 span: pick markers where |f| is smallest (greedy,
     budget sum 9|f(s_k)| <= eps), build the sup-norm zeroed family along
     them, and subtract sum f(s_k) l_k.
 
     The output vanishes at every selected marker and moves f by at most
-    eps in the sup norm."""
+    eps in the sup norm.  Without mazur_cert, the Mazur family takes
+    mazur_depth steps (default: well beyond the markers needed) and 60
+    basis-inequality samples."""
     if norm(f, subspace.ambient) == 0:
         raise ZeroVector("density repair needs a nonzero f")
     if not subspace.ambient.is_sup:
         raise ConfigError("c0 density repair needs a sup-norm ambient")
-    eta_v = subspace.eta if eta is None else eta
     exact = subspace.exact
-    tol = zero_tol(exact, eta_v)
+    tol = zero_tol(exact)
     eps = Fraction(str(eps)) if exact and not isinstance(eps, Fraction) else eps
 
-    cascade_pad = pipeline_kwargs.pop("cascade_pad", 2)
-    mazur_pad = pipeline_kwargs.pop("mazur_pad", 6)
-    need = 2 * (depth + cascade_pad) + 4
-    # go deeper than the marker count needs: the greedy budget wants indices
-    # where |f| has already decayed, which live beyond the first `need`
-    mazur_depth = pipeline_kwargs.pop("mazur_depth", None)
-    if mazur_depth is None:
-        mazur_depth = need + depth + 8
-    if mazur_cert is None:
-        one = Fraction(1) if exact else 1.0
-        eps_seq = [one] + [(Fraction(1, 2 ** i) if exact else 2.0 ** -i)
-                           for i in range(2, mazur_depth + 1)]
-        mazur_kwargs = {k: v for k, v in pipeline_kwargs.items()
-                        if k in ("net_resolution", "samples")}
-        mazur_kwargs.setdefault("samples", 60)
-        mazur = mazur_basic_sequence(subspace, eps_seq, mazur_depth,
-                                     eta=eta_v, seed=seed, **mazur_kwargs)
-    else:
-        mazur = mazur_cert
+    need = 2 * (depth + CASCADE_PAD) + 4
+    mazur = mazur_cert
+    if mazur is None:
+        # go deeper than the marker count needs: the greedy budget wants
+        # indices where |f| has already decayed, which live beyond the
+        # first `need`
+        if mazur_depth is None:
+            mazur_depth = need + depth + 8
+        mazur = mazur_basic_sequence(
+            subspace, default_eps_seq(mazur_depth, exact), mazur_depth,
+            seed=seed, samples=60)
     # greedy: the mazur indices where |f| is smallest, re-sorted increasing
     ranked = sorted(mazur.n, key=lambda j: (abs(f.at(j)), j))
     chosen = sorted(ranked[:min(need, len(ranked))])
@@ -321,9 +313,8 @@ def density_repair_c0(subspace: Subspace, f: Seq, eps,
             f"9 * sum |f(s)| = {float(9 * budget):.3g} > eps = {float(eps):.3g}; "
             "deepen the fixture or enlarge eps")
     cert = construct_sup_zeroed_sequence(
-        subspace, depth, eta=eta_v, seed=seed, cascade_pad=cascade_pad,
-        mazur_pad=mazur_pad, mazur_cert=mazur, m_indices=chosen,
-        **pipeline_kwargs)
+        subspace, depth, stab_tol=stab_tol, seed=seed, mazur_cert=mazur,
+        m_indices=chosen)
     g = c0_repair(f, cert.s, cert.l)
     checks, dist, series = c0_density_checks(subspace.ambient, f, g, cert.s,
                                              eps, tol)
@@ -342,7 +333,7 @@ def density_repair_c0(subspace: Subspace, f: Seq, eps,
 
 
 def algebra_witness_membership(subspace: Subspace, forbidden: Sequence[int],
-                               f: Seq, eta: Optional[float] = None) -> bool:
+                               f: Seq) -> bool:
     """True iff f lies in the span (residual <= eta) and vanishes at every
     forbidden coordinate.
 
@@ -350,7 +341,7 @@ def algebra_witness_membership(subspace: Subspace, forbidden: Sequence[int],
     combinations: a coordinate-zero set survives both."""
     if not forbidden:
         raise ConfigError("forbidden index list must be nonempty")
-    tol = zero_tol(subspace.exact and f.exact, subspace.eta if eta is None else eta)
-    if not subspace.contains(f, eta=eta):
+    tol = zero_tol(subspace.exact and f.exact)
+    if not subspace.contains(f):
         return False
     return all(abs(f.at(j)) <= tol for j in forbidden)

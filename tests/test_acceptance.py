@@ -102,7 +102,7 @@ def test_04_dominant_sequence_ledger(tmp_path):
     t0 = time.monotonic()
     eps = Fraction(1, 10)
     sub = unit_subspace(L2, 40, 2000)
-    cert = construct_dominant_sequence(sub, eps, 6, eta=ETA)
+    cert = construct_dominant_sequence(sub, eps, 6)
     assert cert.status == "pass"
     by_key = {}
     for c in cert.checks:
@@ -157,7 +157,7 @@ def test_06_zeroing_pattern():
     t0 = time.monotonic()
     eps = Fraction(1, 600)
     sub = unit_subspace(L2, 40, 2000)
-    cert = construct_zeroed_sequence(sub, eps, 6, eta=ETA, f1=dense_f1())
+    cert = construct_zeroed_sequence(sub, eps, 6, f1=dense_f1())
     assert cert.status == "pass"
     assert cert.residuals[0] > 0, "recursion should correct a dense seed"
     for k in range(1, 7):
@@ -245,9 +245,8 @@ def test_08_cascade_bounds_fleet(tmp_path):
         scenario = Scenario(name=f"f{idx}", pipeline="linf", fixture=fix,
                             params={"depth": 3,
                                     "stab_tol": Fraction(1, 10 ** 6),
-                                    "net_resolution": Fraction(1, 4),
-                                    "k_est": None, "samples": 60,
-                                    "mode": "auto", "seed": idx})
+                                    "samples": 60, "mode": "auto",
+                                    "seed": idx})
         try:
             doc, code = run_scenario(scenario)
         except InvariantViolation:
@@ -282,8 +281,7 @@ def test_08_cascade_bounds_fleet(tmp_path):
 def test_09_spaceability_witness():
     t0 = time.monotonic()
     lp_cert = construct_zeroed_sequence(unit_subspace(L2, 40, 2000),
-                                        Fraction(1, 600), 6, eta=ETA,
-                                        f1=dense_f1())
+                                        Fraction(1, 600), 6, f1=dense_f1())
     w_lp = spaceable_witness(lp_cert)
     assert w_lp.status == "pass"
     assert w_lp.rank == 3 == len(lp_cert.l) // 2
@@ -363,9 +361,8 @@ def test_11_determinism_and_tamper(tmp_path, capsys):
                                 fixture=str(linf_fix),
                                 params={"depth": 4,
                                         "stab_tol": Fraction(1, 10 ** 6),
-                                        "net_resolution": Fraction(1, 4),
-                                        "k_est": None, "samples": 60,
-                                        "mode": "auto", "seed": 11}),
+                                        "samples": 60, "mode": "auto",
+                                        "seed": 11}),
         "density": Scenario(name="s", pipeline="density",
                             fixture=str(c0_fix),
                             params={"eps": Fraction(1, 20), "depth": 4,

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import random
+import shlex
 
 import pytest
 
@@ -240,6 +241,21 @@ class TestJobs:
         assert err == f"config error: --jobs must be at least 1, got {jobs}\n"
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_fixtures_sharing_a_stem_rejected(self, tmp_path, capsys, jobs):
+        # a/linf.json and b/linf.json would both write out/linf.json
+        argv = ["construct-linf", "--depth", "3", "--jobs", jobs,
+                "--out", str(tmp_path / "out")]
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            argv += ["--fixture", linf_fixture(tmp_path / name)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == ("config error: several fixtures have the file stem "
+                       "'linf', so they would all write linf.json\n")
+        assert not os.path.exists(tmp_path / "out")
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("codes,expected", [
         ("00", 0), ("20", 2), ("201", 1), ("12", 1)])
     def test_exit_code_of_several_fixtures(self, tmp_path, capsys,
@@ -447,3 +463,27 @@ class TestParser:
         code, _, err = run(capsys, "witness", "--cert", certs["zeroing"],
                            option, "3")
         assert code == 1 and "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("option,value", [("--net-resolution", "1/8"),
+                                              ("--k-est", "2")])
+    def test_linf_has_no_net_or_k_est_options(self, tmp_path, capsys,
+                                              option, value):
+        code, _, err = run(capsys, "construct-linf", "--fixture",
+                           linf_fixture(tmp_path), "--depth", "4", option,
+                           value, "--out", str(tmp_path / "linf_cert.json"))
+        assert code == 1 and "unrecognized arguments" in err
+        assert not os.path.exists(tmp_path / "linf_cert.json")
+
+    def test_readme_cli_commands_parse(self):
+        # every command the README's CLI block shows, continuation lines
+        # joined, must parse: an option the docs keep after it is removed
+        # fails here
+        readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "README.md"), encoding="utf-8").read()
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+        block = block.split("```", 1)[0].replace("\\\n", " ")
+        commands = [shlex.split(line)[1:] for line in block.splitlines()
+                    if line.startswith("seqlab ")]
+        assert len(commands) == 6
+        for argv in commands:
+            cli.build_parser().parse_args(argv)

@@ -11,7 +11,6 @@ from seqlab.core import (
     AmbientSpace,
     Seq,
     Subspace,
-    Tolerances,
     combine,
     hadamard,
     norm,
@@ -225,13 +224,6 @@ class TestSubspace:
     def test_mode_mixing_rejected(self):
         with pytest.raises(ConfigError):
             Subspace.build(L1, [seq(1, 0), Seq((0.0, 1.0), False, 0.0)])
-
-    def test_tolerances_invariants(self):
-        with pytest.raises(ConfigError):
-            Tolerances(eta=0.0)
-        with pytest.raises(ConfigError):
-            Tolerances(truncation=7, depth=2)
-        Tolerances(truncation=8, depth=2)
 
 
 class TestFixtureJson:

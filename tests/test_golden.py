@@ -63,7 +63,6 @@ GOLDEN_SCHEMA_1 = {
 }
 
 LINF_PARAMS = {"depth": 4, "stab_tol": Fraction(1, 10 ** 6),
-               "net_resolution": Fraction(1, 4), "k_est": None,
                "samples": 60, "mode": "auto", "seed": 11}
 
 
@@ -133,8 +132,7 @@ def _digest(doc) -> str:
 def _restore_blocks(dom):
     f = [Seq.from_json(o) for o in dom["f"]]
     sigma, f_tilde, g = window_blocks(f, dom["n_cut"],
-                                      AmbientSpace.from_json(dom["space"]),
-                                      dom["eta"])
+                                      AmbientSpace.from_json(dom["space"]))
     dom.update(sigma=[list(w) for w in sigma],
                f_tilde=[v.as_json() for v in f_tilde],
                g=[v.as_json() for v in g])

@@ -42,8 +42,8 @@ def synth_mazur(rows: dict, n_list, t: int = 40) -> MazurCert:
     return MazurCert(space=LINF, eps_seq=(Fraction(1),), n=tuple(n_list),
                      f=tuple(fs), net_sizes=(0,) * len(n_list),
                      functionals=((),) * len(n_list),
-                     zeroed_coords=tuple(n_list), checks=(), eta=1e-9,
-                     seed=0, samples=0)
+                     zeroed_coords=tuple(n_list), checks=(), seed=0,
+                     samples=0)
 
 
 class TestHalvingSupport:

@@ -23,6 +23,7 @@ from seqlab.errors import ConfigError, WitnessViolation
 from seqlab.lineability import geometric_generator
 from seqlab.linf_construction import _ascend_ratio, sample_basis_inequality
 from seqlab.lp_construction import basis_constant_lower_bound
+from seqlab.scalar import DEFAULT_ETA
 from seqlab.witnesses import witness_from_parts
 
 LINF = AmbientSpace.linf()
@@ -289,13 +290,13 @@ class TestScanCallSites:
 
     @SETTINGS
     @given(st.one_of(exact_family(MIXED_DENOMS), float_family()),
-           st.floats(1e-3, 2.0), st.integers(0, 1000))
-    def test_witness_exact_max_matches_reference(self, fam, eta, seed):
+           st.integers(0, 1000))
+    def test_witness_exact_max_matches_reference(self, fam, seed):
         t = len(fam[0])
         family = (fam * 4)[:max(4, len(fam))]
         markers = [1 + (k % t) for k in range(len(family))]
         exact = family[0].exact
-        tol = 0 if exact else eta
+        tol = 0 if exact else DEFAULT_ETA
         even = [family[k] for k in range(1, len(family), 2)]
         forbidden = [markers[k] for k in range(0, len(markers), 2)]
         # reference: every entry l_2i(s_2j-1), the first largest wins
@@ -314,12 +315,12 @@ class TestScanCallSites:
                 <= bound
         if worst > tol:
             with pytest.raises(WitnessViolation) as info:
-                witness_from_parts(family, markers, "sup_zeroing", LINF, eta)
+                witness_from_parts(family, markers, "sup_zeroing", LINF)
             assert str(info.value).startswith(
                 f"even vector {where[0]} of the family (l_{2 * where[0]}) "
                 f"has |l({where[1]})| = {float(worst):.3g} > eta")
             return
-        cert = witness_from_parts(family, markers, "sup_zeroing", LINF, eta)
+        cert = witness_from_parts(family, markers, "sup_zeroing", LINF)
         check = next(c for c in cert.checks
                      if c.key == "forbidden_coordinate_max")
         assert same(check.lhs, worst) and list(check.where) == where
@@ -331,4 +332,4 @@ def test_witness_rejects_mixed_modes():
     floats = [Seq.unit(j, 6, False) for j in range(4, 6)]
     with pytest.raises(ConfigError):
         witness_from_parts(exact + floats, [1, 2, 3, 4, 5], "sup_zeroing",
-                           LINF, 1e-9)
+                           LINF)

@@ -25,7 +25,6 @@ def _linf_doc(tmp_path, mode):
     doc, code = run_scenario(Scenario(
         name="linf", pipeline="linf", fixture=str(fix),
         params={"depth": 4, "stab_tol": Fraction(1, 10 ** 6),
-                "net_resolution": Fraction(1, 4), "k_est": None,
                 "samples": 60, "mode": mode, "seed": 11}))
     assert code == 0
     return json.loads(dumps_canonical(doc))
@@ -366,9 +365,53 @@ def test_mazur_eps_seq_out_of_range_is_rejected(docs, tmp_path):
         mazur["eps_seq"]) - 1)
     checks = mazur_checks([Seq.from_json(o) for o in mazur["f"]], mazur["n"],
                           [Fraction(e) for e in mazur["eps_seq"]],
-                          mazur["seed"], mazur["samples"], mazur["eta"])
+                          mazur["seed"], mazur["samples"])
     mazur["checks"] = [c.as_json() for c in checks]
     report = verify_certificate(doc)
     assert [f.split(":")[0] for f in report.failures] == [
         "cascade.mazur.eps_seq_range"]
+    assert _verify_cli(tmp_path, doc) == 1
+
+
+def _set_every_eta(node, value):
+    """Store value as eta at every level of a certificate."""
+    if isinstance(node, dict):
+        if "eta" in node:
+            node["eta"] = value
+        for child in node.values():
+            _set_every_eta(child, value)
+    elif isinstance(node, list):
+        for child in node:
+            _set_every_eta(child, value)
+
+
+def _raise_l1_at_s2(by):
+    def tamper(doc):
+        doc["l"][0]["coords"][doc["s"][1] - 1] += by
+    return tamper
+
+
+def _set_even_1_at_s1(doc):
+    doc["even_family"][0]["coords"][doc["forbidden"][0] - 1] = 0.5
+
+
+@pytest.mark.parametrize("kind,tamper,eta_levels,zero_check", [
+    ("zeroing", _raise_l1_at_s2(0.5), ["dominance.", ""], "zero_pattern[1,2]"),
+    ("float", _raise_l1_at_s2(0.3), ["cascade.mazur.", "cascade.", ""],
+     "zero_pattern[1,2]"),
+    ("witness", _set_even_1_at_s1, [""], "forbidden_coordinate_max[1,"),
+], ids=["zeroing", "sup_zeroing", "witness"])
+def test_stored_eta_does_not_loosen_zero_checks(docs, kind, tamper,
+                                                eta_levels, zero_check,
+                                                tmp_path):
+    # a nonzero entry where the family must vanish, with eta = 0.6 stored
+    # at every level: were the zero tolerance read from the certificate,
+    # every check would pass
+    doc = copy.deepcopy(docs[kind])
+    _set_every_eta(doc, 0.6)
+    tamper(doc)
+    labels = [f.split(":")[0] for f in verify_certificate(doc).failures]
+    assert [label for label in labels if label.endswith("eta_matches")] == [
+        prefix + "eta_matches" for prefix in eta_levels]
+    assert any(label.startswith(zero_check) for label in labels), labels
     assert _verify_cli(tmp_path, doc) == 1
