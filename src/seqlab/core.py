@@ -327,24 +327,35 @@ def combine(basis: Sequence[Seq], coeffs: Sequence[Scalar]) -> Seq:
 # Exact scans
 #
 # A scan reads one number from each combination (an argmax, a sign, a sup,
-# a ratio) and then drops it.  In exact mode it runs on integer numerators
-# over one common denominator instead of Fractions; only the vectors a
-# construction keeps are built as Seqs.
+# a ratio) and then drops it.  It runs on the columns where the family is
+# nonzero, and in exact mode on integer numerators over one common
+# denominator instead of Fractions; only the vectors a construction keeps
+# are built as Seqs.
 # ---------------------------------------------------------------------------
 
-def scan_rows(family: Sequence[Seq]) -> tuple[list, int]:
-    """The coordinates of family as scan rows, plus their denominator D.
+def scan_rows(family: Sequence[Seq]) -> tuple[list, int, list]:
+    """The family's nonzero columns as scan rows: (rows, D, cols).
+
+    cols lists, ascending, the 0-based coordinates where some vector of
+    the family is nonzero (a column holding only +-0.0 is dropped), and
+    row entry p belongs to coordinate cols[p].  Every dropped column is
+    zero in every combination, so sups, and the first maximum and its
+    sign of a nonzero combination, read off the rows are those of the
+    full vectors.  An all-zero family keeps column 0, so its scans still
+    see one zero.
 
     Exact mode: integer numerators over one common denominator, so that
-    ``family[i].at(j) == rows[i][j - 1] / D``.  Float mode: the
+    ``family[i].at(cols[p] + 1) == rows[i][p] / D``.  Float mode: the
     coordinates unchanged, with D = 1.  Tail bounds are not carried.
     """
+    columns = zip(*(f.coords for f in family))
+    cols = [j for j, column in enumerate(columns) if any(column)] or [0]
     if not all(f.exact for f in family):
-        return [list(f.coords) for f in family], 1
-    denom = math.lcm(*(v.denominator for f in family for v in f.coords))
-    rows = [[v.numerator * (denom // v.denominator) for v in f.coords]
-            for f in family]
-    return rows, denom
+        return [[f.coords[j] for j in cols] for f in family], 1, cols
+    denom = math.lcm(*(f.coords[j].denominator for f in family for j in cols))
+    rows = [[(v := f.coords[j]).numerator * (denom // v.denominator)
+             for j in cols] for f in family]
+    return rows, denom, cols
 
 
 def _running_sums(rows: Sequence[list], coeffs: Sequence[Scalar]):

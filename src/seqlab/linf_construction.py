@@ -11,17 +11,19 @@ most indices stands in for the limit, and InsufficientStabilization is
 the explicit failure mode when no bucket captures enough indices.
 
 Norming functionals in the sup norm are realized as signed coordinate
-evaluations at a maximal coordinate, so each net point contributes one
-zeroed coordinate to the shrinking working subspace.
+evaluations at a maximal coordinate, so each net point adds at most one
+new zeroed coordinate to the shrinking working subspace.
 
 Scans that read one number from each combination and drop it (the net,
-the ratio ascent, the sampled basis inequality) run in exact mode on
-integer numerators over one common denominator (``core.scan_rows``);
-only the vectors a construction keeps become Fractions.  The sampled
-basis-inequality margins stay integer numerators over one denominator
-per prefix pair, and become one Fraction per pair at the end; a float
-eps in exact mode makes those margins floats, so it keeps the scalar
-arithmetic.
+the ratio ascent, the sampled basis inequality) run on the family's
+nonzero columns, in exact mode on integer numerators over one common
+denominator (``core.scan_rows``); only the vectors a construction keeps
+become Fractions.  The net's points are evaluated from their structure:
+an axis point is a signed scan row, a pair point combines two rows.  The
+sampled basis-inequality margins stay integer numerators over one
+denominator per prefix pair, and become one Fraction per pair at the
+end; a float eps in exact mode makes those margins floats, so it keeps
+the scalar arithmetic.
 """
 from __future__ import annotations
 
@@ -276,12 +278,13 @@ def _constrained_basis(subspace: Subspace, constraints: Sequence[int], tol):
     return out, tuple(pc + 1 for pc in pivots)
 
 
-def _scan_ratio(y: list, s: int, exact: bool) -> Scalar:
-    """|f(s)| / |f|_inf read off a scan row y of f (any positive multiple)."""
+def _scan_ratio(y: list, p: Optional[int], exact: bool) -> Scalar:
+    """|f(s)| / |f|_inf read off a scan row y of f (any positive multiple),
+    with s at row position p; p is None when s is a dropped column."""
     sup = max(map(abs, y))
-    if sup == 0:
+    if sup == 0 or p is None:
         return Fraction(0) if exact else 0.0
-    return Fraction(abs(y[s - 1]), sup) if exact else abs(y[s - 1]) / sup
+    return Fraction(abs(y[p]), sup) if exact else abs(y[p]) / sup
 
 
 def _ascend_ratio(w_basis: Sequence[Seq], s: int, exact: bool,
@@ -295,7 +298,8 @@ def _ascend_ratio(w_basis: Sequence[Seq], s: int, exact: bool,
     replaying its steps with Seq.add and Seq.scale, so its coordinates
     and tail bound are what those operations give.
     """
-    rows, _ = scan_rows(w_basis)
+    rows, _, cols = scan_rows(w_basis)
+    p = cols.index(s - 1) if s - 1 in cols else None
 
     def step(y, q, i, n):
         if exact:
@@ -307,14 +311,14 @@ def _ascend_ratio(w_basis: Sequence[Seq], s: int, exact: bool,
     ticks = (-4, -3, -2, -1, 1, 2, 3, 4)
     base, path = ranked[0], ()
     best_y, best_q = rows[base], 1
-    best = _scan_ratio(best_y, s, exact)
+    best = _scan_ratio(best_y, p, exact)
     # pairwise combinations among the most s-active directions
     for a_pos in range(min(3, len(ranked))):
         for b_pos in range(a_pos + 1, min(4, len(ranked))):
             ia, ib = ranked[a_pos], ranked[b_pos]
             for n in ticks:
                 y, q = step(rows[ia], 1, ib, n)
-                r = _scan_ratio(y, s, exact)
+                r = _scan_ratio(y, p, exact)
                 if r > best:
                     best, best_y, best_q = r, y, q
                     base, path = ia, ((ib, n),)
@@ -323,7 +327,7 @@ def _ascend_ratio(w_basis: Sequence[Seq], s: int, exact: bool,
         for i in range(len(w_basis)):
             for n in ticks:
                 y, q = step(best_y, best_q, i, n)
-                r = _scan_ratio(y, s, exact)
+                r = _scan_ratio(y, p, exact)
                 if r > best:
                     best, best_y, best_q = r, y, q
                     path += ((i, n),)
@@ -358,7 +362,7 @@ def sample_basis_inequality(f_list: Sequence[Seq], eps_seq: Sequence,
     cumprod = [one]  # cumprod[i] = prod_{j<=i} (1+eps_j), 1-based eps
     for i in range(1, depth):
         cumprod.append(cumprod[-1] * (1 + eps_seq[i - 1]))
-    rows, denom = scan_rows(f_list[:depth])
+    rows, denom, _ = scan_rows(f_list[:depth])
     pairs = [(n_lo, m_hi) for m_hi in range(2, depth + 1)
              for n_lo in range(1, m_hi)]
     integer = exact and all(isinstance(c, Fraction) and c > 0 for c in cumprod)
@@ -422,47 +426,54 @@ def mazur_checks(f: Sequence[Seq], n: Sequence[int], eps_seq: Sequence,
     return checks
 
 
-def _net_points(f_list: Sequence[Seq], exact: bool,
-                rng: random.Random) -> list:
-    """Deterministic coefficient grid over the current span, used only to
-    collect argmax coordinates (= kernels of sup-norm norming functionals)."""
-    d = len(f_list)
-    one = Fraction(1) if exact else 1.0
-    pts: list[list] = []
-    # axis points
-    for i in range(d):
-        for sgn in (one, -one):
-            a = [one * 0] * d
-            a[i] = sgn
-            pts.append(a)
-    # newest direction against each older one, graded by the grid
-    step = NET_RESOLUTION if exact else float(NET_RESOLUTION)
-    ticks: list = []
-    v = -1 * one
-    while v <= one:
-        if v != 0:
-            ticks.append(v)
-        v = v + step
-    for i in range(d - 1):
-        for tval in ticks:
-            a = [one * 0] * d
-            a[i] = one
-            a[d - 1] = tval
-            pts.append(a)
-    # seeded corners and sphere extras (dense points are the cost driver;
-    # a handful suffices to seed the argmax collector)
+def _first_max(y: list, cols: Sequence[int]) -> Optional[tuple]:
+    """(1-based coordinate, sign) of the first maximal |entry| of a scan row
+    over the columns cols, or None when the row is zero."""
+    mags = [abs(v) for v in y]
+    sup = max(mags)
+    if sup == 0:
+        return None
+    p = mags.index(sup)
+    return cols[p] + 1, 1 if y[p] >= 0 else -1
+
+
+def _net_functionals(rows: Sequence[list], cols: Sequence[int], exact: bool,
+                     rng: random.Random):
+    """Yield the norming functional of each point of a coefficient net over
+    the span of the scan rows: the (coordinate, sign) of the first maximal
+    coordinate of the point's combination, or None when it is zero.
+
+    The points, in order: the axis points +-e_i; the newest direction
+    against each older one, e_i + m r e_d for m in +-{1..q} and the grid
+    step r = NET_RESOLUTION = 1/q; then, when d > 1, 8 seeded corners with
+    coefficients +-1 and 8 seeded points with coefficients k/8 for k in
+    -8..8 (uniform in [-1, 1] in float mode), skipping all-zero ones.
+    Each point is evaluated on a positive multiple of its combination, so
+    exact mode stays on integers: q e_i + m e_d, and k for k/8.  Float
+    mode keeps the float coefficients, so every row has scan_combine's
+    bits for them.
+    """
+    d = len(rows)
+    one = 1 if exact else 1.0
+    for row in rows:  # -e_i has e_i's first maximum, with the sign flipped
+        point = _first_max(row, cols)
+        yield point
+        yield None if point is None else (point[0], -point[1])
+    q = NET_RESOLUTION.denominator
+    ticks = [m for m in range(-q, q + 1) if m]
+    for row in rows[:-1]:
+        for m in ticks:
+            coeffs = [q, m] if exact else [1.0, m * float(NET_RESOLUTION)]
+            yield _first_max(scan_combine([row, rows[-1]], coeffs), cols)
     extras = 8 if d > 1 else 0
     for _ in range(extras):
-        a = [one * (rng.randint(0, 1) * 2 - 1) for _ in range(d)]
-        pts.append(a)
+        coeffs = [one * (rng.randint(0, 1) * 2 - 1) for _ in range(d)]
+        yield _first_max(scan_combine(rows, coeffs), cols)
     for _ in range(extras):
-        if exact:
-            a = [Fraction(rng.randint(-8, 8), 8) for _ in range(d)]
-        else:
-            a = [rng.uniform(-1.0, 1.0) for _ in range(d)]
-        if any(c != 0 for c in a):
-            pts.append(a)
-    return pts
+        coeffs = [rng.randint(-8, 8) if exact else rng.uniform(-1.0, 1.0)
+                  for _ in range(d)]
+        if any(coeffs):
+            yield _first_max(scan_combine(rows, coeffs), cols)
 
 
 def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
@@ -549,18 +560,13 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
         step_functionals: list[tuple] = []
         net_count = 0
         if k >= 2:
-            pts = _net_points(f_list, exact, rng)
-            net_count = len(pts)
-            rows, _ = scan_rows(f_list)
-            for a in pts:
-                y = scan_combine(rows, a)
-                mags = [abs(v) for v in y]
-                sup_y = max(mags)
-                if sup_y == 0:
+            rows, _, cols = scan_rows(f_list)
+            for point in _net_functionals(rows, cols, exact, rng):
+                net_count += 1
+                if point is None:
                     continue
-                best_j = mags.index(sup_y) + 1
-                sgn = 1 if y[best_j - 1] >= 0 else -1
-                step_functionals.append((best_j, sgn))
+                step_functionals.append(point)
+                best_j = point[0]
                 if best_j not in constraint_set:
                     constraints.append(best_j)
                     constraint_set.add(best_j)

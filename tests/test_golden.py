@@ -4,8 +4,9 @@ test_11 sup_zeroing and c0 density scenarios, and the same sup_zeroing
 in float mode), of four lp and lineability certificates (the l2
 zeroing scenario of test_11, a dominance certificate at eps = 1/100, an
 lp density repair and the test_11 lineability certificate) and of the
-test_11 witness.  A refactor that changes a digest changed what seqlab
-emits; it must say so and update the digest deliberately.
+test_11 witness, and GOLDEN_NET pins four Mazur certificates.  A
+refactor that changes a digest changed what seqlab emits; it must say
+so and update the digest deliberately.
 
 Schema 3 dropped what verify rebuilds: f_tilde, g and sigma from every
 dominance level, the vectors and norm_upper of q_op (the dominance f and
@@ -21,13 +22,15 @@ certificate but the lp density repair, whose Q values moved, maps back
 to the schema-1 bytes pinned before that change."""
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from seqlab.certificates import SCHEMA_VERSION, dumps_canonical
 from seqlab.cli import Scenario, run_scenario
-from seqlab.core import AmbientSpace, Seq
+from seqlab.core import AmbientSpace, Seq, subspace_from_json
+from seqlab.linf_construction import default_eps_seq, mazur_basic_sequence
 from seqlab.lp_construction import window_blocks
 
 GOLDEN = {
@@ -61,6 +64,23 @@ GOLDEN_SCHEMA_1 = {
     "dominance": "a69c906dabcf55303f54be909b7dfa9b7b49a693e126c48dbb57f40ee760a31d",
     "lineability": "6fb15d5674fe7753e2e6537cb70186a2756f728e4a156eb1b8718e60b7715f68",
 }
+
+#: Mazur certificates on two dense survey fixtures where the net adds
+#: zeroed coordinates beyond the n_k, which no certificate above does,
+#: computed before the net was evaluated from its point structure:
+#: (seed, mode) -> digest.  They pin bytes, not soundness: the sampled
+#: basis inequality these certificates pass is not a proof, and a
+#: certified Mazur step (exact norming sets instead of the net) will
+#: change them on purpose.
+GOLDEN_NET = {
+    (2032, "exact"): "fde1e2262a14988a34626a24fe03ff9e7c42330f5b9f01807d3ba2e7ad6da69c",
+    (2032, "float"): "9ab66ff9d78bbb19b4c185d268fce72343d485cc97502e48ed26e6452f8b723a",
+    (2002, "exact"): "6776366dba67c5f70449431007ecdc34a7fa045cd331e6da4a64c4878e9fa789",
+    (2002, "float"): "675ca4a6e97ee359cb7cc366f7b581671a49d33d7b094155612aefe5fc665d42",
+}
+
+#: seed -> (space, truncation, depth, zero constraints the net adds)
+NET_FIXTURES = {2032: ("linf", 42, 4, 17), 2002: ("c0", 40, 5, 16)}
 
 LINF_PARAMS = {"depth": 4, "stab_tol": Fraction(1, 10 ** 6),
                "samples": 60, "mode": "auto", "seed": 11}
@@ -181,3 +201,34 @@ def test_schema_2_maps_back_to_schema_1_bytes(name, tmp_path):
     doc, _ = run_scenario(_scenario(name, tmp_path))
     assert _digest(_schema_2_to_1(_schema_3_to_2(doc))) \
         == GOLDEN_SCHEMA_1[name]
+
+
+def _survey_fixture(seed):
+    """A dense survey fixture: T, the generator count, the entries
+    (each set with probability 1/2 to k/b, k in -8..8, b in 1, 2, 4, 8),
+    the space and the depth, drawn in that order."""
+    rng = random.Random(seed)
+    t = rng.randint(40, 80)
+    gens = []
+    for _ in range(rng.randint(12, 24)):
+        coords = [str(Fraction(rng.randint(-8, 8), rng.choice([1, 2, 4, 8])))
+                  if rng.random() < 0.5 else "0" for _ in range(t)]
+        gens.append({"kind": "dense", "coords": coords})
+    space = "linf" if rng.random() < 0.5 else "c0"
+    depth = rng.randint(3, 8)
+    return {"space": {"kind": space}, "truncation": t,
+            "generators": gens}, depth
+
+
+@pytest.mark.parametrize("seed, mode", sorted(GOLDEN_NET))
+def test_net_adding_constraints_bytes_pinned(seed, mode):
+    obj, depth = _survey_fixture(seed)
+    space, t, want_depth, added = NET_FIXTURES[seed]
+    assert (obj["space"]["kind"], obj["truncation"], depth) == \
+        (space, t, want_depth)
+    exact = mode == "exact"
+    sub = subspace_from_json(obj, mode=mode)
+    cert = mazur_basic_sequence(sub, default_eps_seq(depth, exact), depth,
+                                seed=0, samples=60)
+    assert len(cert.zeroed_coords) - len(cert.n) == added
+    assert _digest(cert.as_json()) == GOLDEN_NET[(seed, mode)]

@@ -1,8 +1,12 @@
 """Integer-row scans against reference implementations on combine/Seq ops.
 
 Exact mode must give the same argmax, sign, prefix sups and ratios as
-the Fraction arithmetic; float mode must give the same bits.
+the Fraction arithmetic; float mode must give the same bits.  Scans run
+on the family's nonzero columns only, so the families include all-zero
+ones and columns holding only +-0.0.  The Mazur net, evaluated from its
+point structure, must give the functionals of the dense net it replaced.
 """
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +25,11 @@ from seqlab.core import (
 )
 from seqlab.errors import ConfigError, WitnessViolation
 from seqlab.lineability import geometric_generator
-from seqlab.linf_construction import _ascend_ratio, sample_basis_inequality
+from seqlab.linf_construction import (
+    _ascend_ratio,
+    _net_functionals,
+    sample_basis_inequality,
+)
 from seqlab.lp_construction import basis_constant_lower_bound
 from seqlab.scalar import DEFAULT_ETA
 from seqlab.witnesses import witness_from_parts
@@ -61,8 +69,37 @@ def float_family(draw):
                 draw(tail)) for _ in range(d)]
 
 
-any_family = st.one_of(exact_family(MIXED_DENOMS), exact_family(DYADIC_DENOMS),
-                       float_family())
+@st.composite
+def tied_float_family(draw):
+    """Float families over a few values, so maxima tie."""
+    t = draw(st.integers(1, 10))
+    d = draw(st.integers(1, 5))
+    entry = st.sampled_from((0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0))
+    return [Seq(tuple(draw(st.lists(entry, min_size=t, max_size=t))), False,
+                0.0) for _ in range(d)]
+
+
+def with_zero_columns(families):
+    """The families with no, some or all columns set to zero (+0.0 or -0.0
+    in float mode), each vector keeping its tail bound."""
+    @st.composite
+    def build(draw):
+        fam = draw(families)
+        t = len(fam[0])
+        how = draw(st.sampled_from(("none", "some", "all")))
+        zeroed = (set() if how == "none" else set(range(t)) if how == "all"
+                  else set(draw(st.lists(st.integers(0, t - 1)))))
+        zeros = ((Fraction(0),) if fam[0].exact else (0.0, -0.0))
+        return [Seq(tuple(draw(st.sampled_from(zeros)) if j in zeroed else v
+                          for j, v in enumerate(f.coords)), f.exact,
+                    f.tail_bound) for f in fam]
+    return build()
+
+
+exact_families = st.one_of(exact_family(MIXED_DENOMS),
+                           exact_family(DYADIC_DENOMS))
+float_families = st.one_of(float_family(), tied_float_family())
+any_family = with_zero_columns(st.one_of(exact_families, float_families))
 
 
 def eps_entry(with_floats):
@@ -188,6 +225,70 @@ def ref_basis_constant(fam, trials, seed):
     return best
 
 
+def ref_dense_rows(fam):
+    """scan_rows over every coordinate, as it was before it kept only the
+    family's nonzero columns."""
+    if not all(f.exact for f in fam):
+        return [list(f.coords) for f in fam]
+    denom = math.lcm(*(v.denominator for f in fam for v in f.coords))
+    return [[v.numerator * (denom // v.denominator) for v in f.coords]
+            for f in fam]
+
+
+def ref_net_points(f_list, exact, rng):
+    """The Mazur net as dense coefficient vectors, as it was built before
+    it was evaluated from its point structure."""
+    d = len(f_list)
+    one = Fraction(1) if exact else 1.0
+    pts = []
+    for i in range(d):
+        for sgn in (one, -one):
+            a = [one * 0] * d
+            a[i] = sgn
+            pts.append(a)
+    step = Fraction(1, 4) if exact else 0.25
+    ticks = []
+    v = -1 * one
+    while v <= one:
+        if v != 0:
+            ticks.append(v)
+        v = v + step
+    for i in range(d - 1):
+        for tval in ticks:
+            a = [one * 0] * d
+            a[i] = one
+            a[d - 1] = tval
+            pts.append(a)
+    extras = 8 if d > 1 else 0
+    for _ in range(extras):
+        pts.append([one * (rng.randint(0, 1) * 2 - 1) for _ in range(d)])
+    for _ in range(extras):
+        if exact:
+            a = [Fraction(rng.randint(-8, 8), 8) for _ in range(d)]
+        else:
+            a = [rng.uniform(-1.0, 1.0) for _ in range(d)]
+        if any(c != 0 for c in a):
+            pts.append(a)
+    return pts
+
+
+def ref_net_functionals(fam, exact, rng):
+    """(coordinate, sign) of each dense net point's first maximum over all
+    T coordinates, or None for a zero point."""
+    rows = ref_dense_rows(fam)
+    out = []
+    for a in ref_net_points(fam, exact, rng):
+        y = scan_combine(rows, a)
+        mags = [abs(v) for v in y]
+        sup_y = max(mags)
+        if sup_y == 0:
+            out.append(None)
+            continue
+        best_j = mags.index(sup_y) + 1
+        out.append((best_j, 1 if y[best_j - 1] >= 0 else -1))
+    return out
+
+
 # -- the helper --------------------------------------------------------------
 
 class TestScanHelper:
@@ -195,23 +296,25 @@ class TestScanHelper:
     @given(any_family, st.data())
     def test_argmax_and_sign_match_combine(self, fam, data):
         coeffs = coefficients(fam, lambda a, b: data.draw(st.integers(a, b)))
-        rows, _ = scan_rows(fam)
+        rows, _, cols = scan_rows(fam)
         y = scan_combine(rows, coeffs)
+        full = combine(fam, coeffs).coords
         mags = [abs(v) for v in y]
         got = None
         if max(mags) != 0:
-            j = mags.index(max(mags))
-            got = j + 1, 1 if y[j] >= 0 else -1
+            p = mags.index(max(mags))
+            got = cols[p] + 1, 1 if y[p] >= 0 else -1
         assert got == ref_argmax_sign(fam, coeffs)
+        kept = set(cols)
+        assert all(not v for j, v in enumerate(full) if j not in kept)
         if not fam[0].exact:  # float rows give combine's bits
-            assert all(same(a, b) for a, b in
-                       zip(y, combine(fam, coeffs).coords))
+            assert all(same(a, full[j]) for a, j in zip(y, cols))
 
     @SETTINGS
     @given(any_family, st.data())
     def test_prefix_sups_match_seq_ops(self, fam, data):
         ks = [data.draw(st.integers(-16, 16)) for _ in fam]
-        rows, denom = scan_rows(fam)
+        rows, denom, _ = scan_rows(fam)
         sups = scan_prefix_sups(rows, ks if fam[0].exact
                                 else [float(k) for k in ks])
         if fam[0].exact:
@@ -224,13 +327,24 @@ class TestScanHelper:
     @SETTINGS
     @given(any_family)
     def test_rows_over_common_denominator(self, fam):
-        rows, denom = scan_rows(fam)
+        rows, denom, cols = scan_rows(fam)
+        t = len(fam[0])
+        assert cols == sorted(set(cols)) and all(0 <= j < t for j in cols)
+        nonzero = [j for j in range(t) if any(f.coords[j] for f in fam)]
+        assert cols == (nonzero or [0])  # an all-zero family keeps column 0
         for f, row in zip(fam, rows):
+            assert len(row) == len(cols)
+            assert all(not f.coords[j] for j in range(t) if j not in cols)
             if f.exact:
                 assert all(isinstance(v, int) for v in row)
-                assert [Fraction(v, denom) for v in row] == list(f.coords)
+                assert [Fraction(v, denom) for v in row] == \
+                    [f.at(j + 1) for j in cols]
+                # dropped zeros have denominator 1: D is that of all columns
+                assert denom == math.lcm(*(v.denominator for g in fam
+                                           for v in g.coords))
             else:
-                assert denom == 1 and row == list(f.coords)
+                assert denom == 1
+                assert all(same(v, f.at(j + 1)) for v, j in zip(row, cols))
 
 
 # -- the call sites ----------------------------------------------------------
@@ -287,6 +401,16 @@ class TestScanCallSites:
         assert vec.exact == ref_vec.exact
         assert all(same(a, b) for a, b in zip(vec.coords, ref_vec.coords))
         assert same(vec.tail_bound, ref_vec.tail_bound)
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_family, st.integers(0, 10 ** 6))
+    def test_net_matches_the_dense_reference(self, fam, seed):
+        exact = fam[0].exact
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        rows, _, cols = scan_rows(fam)
+        got = list(_net_functionals(rows, cols, exact, rng))
+        assert got == ref_net_functionals(fam, exact, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()  # the same draws
 
     @SETTINGS
     @given(st.one_of(exact_family(MIXED_DENOMS), float_family()),
