@@ -10,12 +10,22 @@ Two scalar modes coexist: exact ``Fraction`` coordinates (the sup norm
 and the l1 norm stay rational) and ``float`` coordinates for general
 lp.  A workspace never mixes modes.
 
-Exact ``Seq`` arithmetic, ``combine`` and all norm sums skip zero
-coordinates, so mostly-zero vectors cost in proportion to their
-nonzeros, bit for bit as a full loop.  Float ``add``/``sub``/``scale``
-run every coordinate: a skip would not keep signed zeros (-0.0 - -0.0
-is 0.0).  ``combine`` sums into accumulators that start at +0.0 and so
-never hold -0.0, which adding c * (+-0.0) leaves as they are.
+Every ``Seq`` caches its support, ``Seq.nonzero``: the ascending tuple
+of the 0-based indices j with ``coords[j] != 0`` (so a float -0.0 is not
+in it).  A Seq built directly finds it once, on first use.  The exact
+kernels (``add``, ``sub``, ``scale``, ``abs_coords``, ``restrict``,
+``lift``, ``unit``, ``combine`` and ``tail_norm``'s slice) pass on the
+support they already know, minus any cancellations, and the exact
+readers (``norm``, ``norm_pth_power``, ``combine``, ``scan_rows`` and the
+``Subspace`` residual) iterate it instead of the T coordinates.  So
+mostly-zero exact vectors cost in proportion to their nonzeros, with the
+values and types a full loop gives; ``coords`` stays the dense tuple.
+
+Float ``add``/``sub``/``scale`` and the float norms keep their dense
+loops: a skip would not keep signed zeros (-0.0 - -0.0 is 0.0, and
+a * 0.0 is -0.0 for a < 0).  ``combine`` sums into accumulators that
+start at +0.0 and so never hold -0.0, which adding c * (+-0.0) leaves as
+they are.
 
 All values are immutable after construction; every function here is
 pure, so callers may share objects freely across threads.
@@ -24,8 +34,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Optional, Sequence
 
 from . import linalg
@@ -116,15 +128,30 @@ class Seq:
     (0 means the sequence is exactly its truncation).  Linear operations
     combine tail bounds by the triangle inequality, so they remain
     sound upper bounds, never underestimates.
+
+    ``nonzero`` is the cached support, {j : coords[j] != 0} as an
+    ascending tuple of 0-based indices, in both modes.  It is not
+    compared, hashed or shown, and it travels with a pickled Seq.
     """
 
     coords: tuple
     exact: bool
     tail_bound: Scalar = 0
+    _nz: Optional[tuple] = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         if self.tail_bound < 0:
             raise ConfigError("tail_bound must be nonnegative")
+
+    @property
+    def nonzero(self) -> tuple:
+        """Ascending 0-based indices of the nonzero coordinates."""
+        nz = self._nz
+        if nz is None:
+            nz = tuple(compress(range(len(self.coords)), self.coords))
+            object.__setattr__(self, "_nz", nz)
+        return nz
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -137,55 +164,74 @@ class Seq:
 
     def add(self, other: "Seq") -> "Seq":
         _check_lengths(self, other)
-        exact = self.exact and other.exact
-        pairs = zip(self.coords, other.coords)
-        coords = (tuple((a + b if a else b) if b else a for a, b in pairs)
-                  if exact else tuple(a + b for a, b in pairs))
-        return Seq(coords, exact, self.tail_bound + other.tail_bound)
+        tail = self.tail_bound + other.tail_bound
+        if not (self.exact and other.exact):
+            return Seq(tuple(a + b for a, b in zip(self.coords, other.coords)),
+                       False, tail)
+        coords, theirs = list(self.coords), other.coords
+        for j in other.nonzero:
+            a = coords[j]
+            coords[j] = a + theirs[j] if a else theirs[j]
+        return _exact_seq(coords, tail,
+                          _union_support(coords, (self.nonzero, other.nonzero)))
 
     def sub(self, other: "Seq") -> "Seq":
         _check_lengths(self, other)
-        exact = self.exact and other.exact
-        pairs = zip(self.coords, other.coords)
-        coords = (tuple(a - b if b else a for a, b in pairs)
-                  if exact else tuple(a - b for a, b in pairs))
-        return Seq(coords, exact, self.tail_bound + other.tail_bound)
+        tail = self.tail_bound + other.tail_bound
+        if not (self.exact and other.exact):
+            return Seq(tuple(a - b for a, b in zip(self.coords, other.coords)),
+                       False, tail)
+        coords, theirs = list(self.coords), other.coords
+        for j in other.nonzero:
+            coords[j] = coords[j] - theirs[j]
+        return _exact_seq(coords, tail,
+                          _union_support(coords, (self.nonzero, other.nonzero)))
 
     def scale(self, a: Scalar) -> "Seq":
-        exact = self.exact and isinstance(a, (Fraction, int))
-        coords = (tuple(a * v if v else v for v in self.coords) if exact
-                  else tuple(a * v for v in self.coords))
-        return Seq(coords, exact, abs(a) * self.tail_bound)
+        tail = abs(a) * self.tail_bound
+        if not (self.exact and isinstance(a, (Fraction, int))):
+            return Seq(tuple(a * v for v in self.coords), False, tail)
+        coords, nz = list(self.coords), self.nonzero
+        for j in nz:
+            coords[j] = a * coords[j]
+        return _exact_seq(coords, tail, nz if a else ())
 
     def abs_coords(self) -> "Seq":
-        coords = (tuple(abs(v) if v else v for v in self.coords) if self.exact
-                  else tuple(abs(v) for v in self.coords))
-        return Seq(coords, self.exact, self.tail_bound)
+        if not self.exact:
+            return Seq(tuple(abs(v) for v in self.coords), False,
+                       self.tail_bound)
+        coords, nz = list(self.coords), self.nonzero
+        for j in nz:
+            coords[j] = abs(coords[j])
+        return _exact_seq(coords, self.tail_bound, nz)
 
     def restrict(self, window: tuple[int, int]) -> "Seq":
         """Zero out everything outside the 1-based inclusive window."""
-        lo, hi = window
+        t = len(self.coords)
+        lo = min(max(window[0], 1), t + 1) - 1  # 0-based, half-open [lo, hi)
+        hi = max(min(window[1], t), lo)
         zero = Fraction(0) if self.exact else 0.0
-        coords = tuple(v if lo <= j + 1 <= hi else zero
-                       for j, v in enumerate(self.coords))
-        return Seq(coords, self.exact, Fraction(0) if self.exact else 0.0)
+        coords = (zero,) * lo + tuple(self.coords[lo:hi]) + (zero,) * (t - hi)
+        if not self.exact:
+            return Seq(coords, False, 0.0)
+        nz = self.nonzero
+        return _exact_seq(coords, zero,
+                          nz[bisect_left(nz, lo):bisect_left(nz, hi)])
 
     def lift(self) -> "Seq":
         """This vector in exact mode: each float becomes the rational it
         stores, so norms of the result round only once, at the end."""
         if self.exact:
             return self
-        zero = Fraction(0)  # shared: lifted vectors are mostly zeros
-        return Seq(tuple(Fraction(v) if v else zero for v in self.coords),
-                   True, Fraction(self.tail_bound))
-
-    def support(self, eta=0) -> list[int]:
-        return [j + 1 for j, v in enumerate(self.coords) if abs(v) > eta]
+        coords, nz = [Fraction(0)] * len(self.coords), self.nonzero
+        for j in nz:
+            coords[j] = Fraction(self.coords[j])
+        return _exact_seq(coords, Fraction(self.tail_bound), nz)
 
     @classmethod
     def zero(cls, t: int, exact: bool) -> "Seq":
         z = Fraction(0) if exact else 0.0
-        return cls((z,) * t, exact, z)
+        return _known_support(cls((z,) * t, exact, z), ())
 
     @classmethod
     def unit(cls, j: int, t: int, exact: bool) -> "Seq":
@@ -195,7 +241,7 @@ class Seq:
         one = Fraction(1) if exact else 1.0
         coords = [zero] * t
         coords[j - 1] = one
-        return cls(tuple(coords), exact, zero)
+        return _known_support(cls(tuple(coords), exact, zero), (j - 1,))
 
     def as_json(self) -> dict:
         return {"coords": [scalar_to_json(v) for v in self.coords],
@@ -211,6 +257,23 @@ class Seq:
             _check_finite_coords(coords)
         tail = parse_scalar(obj.get("tail_bound", 0), exact)
         return cls(coords, exact, tail)
+
+
+def _known_support(x: Seq, nz: tuple) -> Seq:
+    """x with its support cached as nz, which the caller knows is exact."""
+    object.__setattr__(x, "_nz", nz)
+    return x
+
+
+def _exact_seq(coords: list, tail: Scalar, nz: tuple) -> Seq:
+    """The exact Seq on coords, with support nz."""
+    return _known_support(Seq(tuple(coords), True, tail), nz)
+
+
+def _union_support(coords: list, supports) -> tuple:
+    """The support of coords, given supports whose union holds it: the
+    union, re-tested for cancellations."""
+    return tuple(j for j in sorted(set().union(*supports)) if coords[j])
 
 
 def _check_lengths(x: Seq, y: Seq):
@@ -231,16 +294,20 @@ def norm(x: Seq, space: AmbientSpace) -> Scalar:
     Exact for the sup norm and l1 on Fraction coordinates; general lp
     returns a float.  Raises NonFiniteCoordinate on NaN/inf input.
     """
-    if not x.exact:
+    if x.exact:
+        coords = x.coords
+        if space.is_sup:
+            return max((abs(coords[j]) for j in x.nonzero), default=Fraction(0))
+        if space.p == 1:
+            return sum((abs(coords[j]) for j in x.nonzero), Fraction(0))
+    else:
         _check_finite_coords(x.coords)
-    if space.is_sup:
-        return max((abs(v) for v in x.coords), default=Fraction(0) if x.exact else 0.0)
-    p = space.p
-    if p == 1:
-        return sum((abs(v) for v in x.coords if v),
-                   Fraction(0) if x.exact else 0.0)
+        if space.is_sup:
+            return max(map(abs, x.coords), default=0.0)
+        if space.p == 1:
+            return sum((abs(v) for v in x.coords if v), 0.0)
     total = norm_pth_power(x, space)
-    return float(total) ** (1.0 / float(p))
+    return float(total) ** (1.0 / float(space.p))
 
 
 def norm_pth_power(x: Seq, space: AmbientSpace) -> Scalar:
@@ -251,9 +318,14 @@ def norm_pth_power(x: Seq, space: AmbientSpace) -> Scalar:
     if space.is_sup:
         raise ConfigError("norm_pth_power needs a finite p")
     p = space.integer_p
-    if p is not None and x.exact:
-        return sum((abs(v) ** p for v in x.coords if v), Fraction(0))
-    p = float(space.p)  # a Fraction's ** p is float(|v|) ** p
+    if x.exact:
+        coords = x.coords
+        values = (abs(coords[j]) for j in x.nonzero)
+        if p is not None:
+            return sum((v ** p for v in values), Fraction(0))
+        p = float(space.p)  # a Fraction's ** p is float(|v|) ** p
+        return sum((v ** p for v in values), 0.0)
+    p = float(space.p)
     return sum((abs(v) ** p for v in x.coords if v), 0.0)
 
 
@@ -280,6 +352,9 @@ def tail_norm(x: Seq, n: int, space: AmbientSpace) -> Scalar:
     if not 1 <= n <= len(x):
         raise IndexOutOfRange(f"tail index {n} outside [1, {len(x)}]")
     rest = Seq(x.coords[n:], x.exact, 0)
+    if x.exact:
+        nz = x.nonzero
+        _known_support(rest, tuple(j - n for j in nz[bisect_left(nz, n):]))
     if space.is_sup:
         s = norm(rest, space)
         return max(s, x.tail_bound)
@@ -296,9 +371,11 @@ def tail_norm(x: Seq, n: int, space: AmbientSpace) -> Scalar:
 def combine(basis: Sequence[Seq], coeffs: Sequence[Scalar]) -> Seq:
     """Linear combination sum(c_i * b_i) with triangle-inequality tail bound.
 
-    Both modes skip zero coordinates.  A float accumulator starts at +0.0
-    and round-to-nearest addition gives -0.0 only from -0.0 + -0.0, so it
-    never holds -0.0 and adding c * (+-0.0) for a finite c keeps its bits.
+    Both modes skip zero coordinates: an exact vector is read on its
+    support, a float one by a zero test on every coordinate.  A float
+    accumulator starts at +0.0 and round-to-nearest addition gives -0.0
+    only from -0.0 + -0.0, so it never holds -0.0 and adding c * (+-0.0)
+    for a finite c keeps its bits.
     """
     if len(basis) != len(coeffs):
         raise LengthMismatch(f"{len(basis)} vectors vs {len(coeffs)} coefficients")
@@ -310,17 +387,23 @@ def combine(basis: Sequence[Seq], coeffs: Sequence[Scalar]) -> Seq:
     zero = Fraction(0) if exact else 0.0
     acc = [zero] * t
     tail = zero
+    supports = []
     for c, b in zip(coeffs, basis):
         if c == 0:
             continue
-        for j, v in enumerate(b.coords):
-            if v:
-                acc[j] += c * v
+        coords = b.coords
+        if b.exact:
+            supports.append(b.nonzero)
+            for j in b.nonzero:
+                acc[j] += c * coords[j]
+        else:
+            for j, v in enumerate(coords):
+                if v:
+                    acc[j] += c * v
         tail += abs(c) * b.tail_bound
-    if not exact:
-        acc = [float(v) for v in acc]
-        tail = float(tail)
-    return Seq(tuple(acc), exact, tail)
+    if exact:
+        return _exact_seq(acc, tail, _union_support(acc, supports))
+    return Seq(tuple(float(v) for v in acc), False, float(tail))
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +431,11 @@ def scan_rows(family: Sequence[Seq]) -> tuple[list, int, list]:
     ``family[i].at(cols[p] + 1) == rows[i][p] / D``.  Float mode: the
     coordinates unchanged, with D = 1.  Tail bounds are not carried.
     """
-    columns = zip(*(f.coords for f in family))
-    cols = [j for j, column in enumerate(columns) if any(column)] or [0]
     if not all(f.exact for f in family):
+        columns = zip(*(f.coords for f in family))
+        cols = [j for j, column in enumerate(columns) if any(column)] or [0]
         return [[f.coords[j] for j in cols] for f in family], 1, cols
+    cols = sorted(set().union(*(f.nonzero for f in family))) or [0]
     denom = math.lcm(*(f.coords[j].denominator for f in family for j in cols))
     rows = [[(v := f.coords[j]).numerator * (denom // v.denominator)
              for j in cols] for f in family]
@@ -446,11 +530,19 @@ class Subspace:
         return sub
 
     def residual_norm(self, x: Seq) -> Scalar:
-        """Sup-norm of x minus its projection onto the reduced basis."""
-        rows = [b.coords for b in self.reduced_basis]
-        res = linalg.residual_vector(list(x.coords), rows,
-                                     [pc - 1 for pc in self.pivots])
-        return max((abs(v) for v in res), default=Fraction(0) if self.exact else 0.0)
+        """Sup-norm of x minus its projection onto the reduced basis.
+
+        The residual is zero off the supports of x and of the basis, so in
+        exact mode its sup is read there only.
+        """
+        basis = self.reduced_basis
+        supports = [b.nonzero for b in basis]
+        res = linalg.residual_vector(x.coords, [b.coords for b in basis],
+                                     [pc - 1 for pc in self.pivots], supports)
+        if self.exact and x.exact:
+            return max((abs(res[j]) for j in set(x.nonzero).union(*supports)),
+                       default=Fraction(0))
+        return max(map(abs, res), default=Fraction(0) if self.exact else 0.0)
 
     def contains(self, x: Seq) -> bool:
         return self.residual_norm(x) <= zero_tol(self.exact)

@@ -138,13 +138,21 @@ def nullspace_basis(matrix: Sequence[Sequence[Scalar]], n_unknowns: int, eta,
 
 
 def residual_vector(vec: Sequence[Scalar], rows: Sequence[Sequence[Scalar]],
-                    pivots: Sequence[int]) -> list[Scalar]:
-    """vec minus its projection onto the span of RREF rows."""
+                    pivots: Sequence[int],
+                    supports: Sequence[Sequence[int]]) -> list[Scalar]:
+    """vec minus its projection onto the span of RREF rows.
+
+    Each row is subtracted only where it is nonzero: ``supports[i]`` lists
+    the nonzero columns of ``rows[i]``.  The skipped v - c * (+-0.0) could
+    only flip the sign of a zero, so every |entry| is that of the full
+    subtraction.
+    """
     out = list(vec)
-    for row, pc in zip(rows, pivots):
+    for row, pc, cols in zip(rows, pivots, supports):
         c = out[pc]
         if c != 0:
-            out = [v - c * w for v, w in zip(out, row)]
+            for j in cols:
+                out[j] -= c * row[j]
     return out
 
 

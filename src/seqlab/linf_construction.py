@@ -65,6 +65,8 @@ NET_RESOLUTION = Fraction(1, 4)
 CASCADE_PAD = 2
 #: Mazur steps built beyond the two per cascade level
 MAZUR_PAD = 6
+#: the sup norm, which linf and c0 share
+_SUP = AmbientSpace.linf()
 
 
 def default_eps_seq(mazur_depth: int, exact: bool) -> list:
@@ -257,11 +259,6 @@ def extract_stabilizing_subsequence(g1: Seq, g2: Seq, m: Sequence[int],
 # Mazur-style basic sequence
 # ---------------------------------------------------------------------------
 
-def _sup(v: Seq) -> Scalar:
-    return max((abs(c) for c in v.coords if c),
-               default=Fraction(0) if v.exact else 0.0)
-
-
 def _constrained_basis(subspace: Subspace, constraints: Sequence[int], tol):
     """RREF basis (and 1-based pivots) of {f in span(V): f(j)=0 for j in constraints}."""
     basis = subspace.reduced_basis
@@ -408,7 +405,7 @@ def mazur_checks(f: Sequence[Seq], n: Sequence[int], eps_seq: Sequence,
     exact, tol = _family_tol(f)
     checks = []
     for k, (f_k, n_k) in enumerate(zip(f, n, strict=True), start=1):
-        sup_fk = _sup(f_k)
+        sup_fk = norm(f_k, _SUP)
         checks.append(make_check("diag_one", [k], f_k.at(n_k) - 1, "abs_le",
                                  0, tol))
         checks.append(make_check("norm_window_lower", [k], sup_fk, "ge", 1,
@@ -522,7 +519,7 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
             raise DimensionExhausted(
                 f"working subspace exhausted after {k - 1} of {depth} steps "
                 f"({len(constraints)} zero constraints)")
-        sups = [_sup(b) for b in w_basis]
+        sups = [norm(b, _SUP) for b in w_basis]
         start = n_list[-1] + 1 if n_list else 1
         found = None
         for s in range(start, t_len + 1):
@@ -635,8 +632,8 @@ def cascade_checks(h: Sequence[Seq], t: Sequence[int], cases: Sequence[int],
     checks = []
     for level, (h_k, t_k, case) in enumerate(zip(h, t, cases, strict=True),
                                              start=1):
-        checks.append(make_check("case_bound", [level, case], _sup(h_k), "le",
-                                 CASE_BOUNDS[case], tol))
+        checks.append(make_check("case_bound", [level, case], norm(h_k, _SUP),
+                                 "le", CASE_BOUNDS[case], tol))
         checks.append(make_check("cascade_diag_one", [level],
                                  h_k.at(t_k) - 1, "abs_le", 0, tol))
         for j, t_j in enumerate(t[:level - 1], start=1):
@@ -693,7 +690,7 @@ def build_cascade(source: MazurCert, m: Sequence[int], depth: int,
                 break
             raise
         bound = CASE_BOUNDS[case]
-        sup_h = _sup(h)
+        sup_h = norm(h, _SUP)
         if sup_h > bound + tol:
             raise CaseBoundViolated(
                 f"cascade level {level} case {case}: |h| = {float(sup_h):.6g} "
@@ -751,13 +748,15 @@ def sup_zeroing_checks(h_by_t: dict, s: Sequence[int], stages: Sequence[list],
     for k, (s_k, path, l_k) in enumerate(zip(s, stages, l, strict=True),
                                          start=1):
         for step, (cur, nxt) in enumerate(zip(path, path[1:]), start=1):
-            checks.append(make_check("step_norm", [k, step], _sup(nxt.sub(cur)),
+            checks.append(make_check("step_norm", [k, step],
+                                     norm(nxt.sub(cur), _SUP),
                                      "le", eps / 2 ** (k + step), tol))
-        res = _sup(path[-1].sub(path[0]))
-        delta = delta + res / _sup(path[0])
+        res = norm(path[-1].sub(path[0]), _SUP)
+        delta = delta + res / norm(path[0], _SUP)
         checks.append(make_check("residual", [k], res, "le", eps / 2 ** k,
                                  tol))
-        checks.append(make_check("sup_bound", [k], _sup(l_k), "le", 9, tol))
+        checks.append(make_check("sup_bound", [k], norm(l_k, _SUP), "le", 9,
+                                 tol))
         checks.append(make_check("diag_one", [k], l_k.at(s_k) - 1, "abs_le",
                                  0, tol))
         for j, s_j in enumerate(s, start=1):

@@ -1,10 +1,11 @@
 import json
 import math
+import pickle
 import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqlab.core import (
@@ -16,6 +17,7 @@ from seqlab.core import (
     norm,
     normalize,
     norm_pth_power,
+    scan_rows,
     subspace_from_json,
     tail_norm,
     vanish_at,
@@ -29,7 +31,8 @@ from seqlab.errors import (
     NonFiniteCoordinate,
 )
 from seqlab.lineability import geometric_generator
-from seqlab.scalar import scalar_to_json
+from seqlab.linalg import residual_vector
+from seqlab.scalar import scalar_to_json, zero_tol
 from conftest import unit_subspace
 
 L1 = AmbientSpace.lp(1)
@@ -224,6 +227,48 @@ class TestSubspace:
     def test_mode_mixing_rejected(self):
         with pytest.raises(ConfigError):
             Subspace.build(L1, [seq(1, 0), Seq((0.0, 1.0), False, 0.0)])
+
+    @given(data=st.data(), exact=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_residual_norm_equals_dense_formula(self, data, exact):
+        n = data.draw(st.integers(1, 16))
+        zero = Fraction(0) if exact else 0.0
+        entry = st.one_of(st.just(zero), rational) if exact else st.one_of(
+            st.sampled_from([0.0, -0.0]), st.floats(-8, 8))
+
+        def vector():
+            return Seq(tuple(data.draw(st.lists(entry, min_size=n,
+                                                max_size=n))), exact, zero)
+
+        gens = [vector() for _ in range(data.draw(st.integers(1, 4)))]
+        try:
+            sub = Subspace.build(L1 if exact else L2, gens)
+        except ConfigError:  # a numerically degenerate float family
+            assume(False)
+        coeffs = [data.draw(st.one_of(st.just(zero), rational if exact
+                                      else st.floats(-4, 4)))
+                  for _ in gens]
+        # a unit vector at a pivot leaves a residual off its own support
+        probes = [vector(), combine(gens, coeffs)] + [
+            Seq.unit(pc, n, exact) for pc in sub.pivots]
+        rows = [b.coords for b in sub.reduced_basis]
+        pivots = [pc - 1 for pc in sub.pivots]
+        for x in probes:
+            # the residual before the rows were subtracted on their supports
+            dense = list(x.coords)
+            for row, pc in zip(rows, pivots):
+                c = dense[pc]
+                if c != 0:
+                    dense = [v - c * w for v, w in zip(dense, row)]
+            want = max((abs(v) for v in dense), default=zero)
+            got = sub.residual_norm(x)
+            assert got == want
+            if not exact:
+                assert bits(got) == bits(want)
+            assert sub.contains(x) == (want <= zero_tol(exact))
+            sparse = residual_vector(x.coords, rows, pivots,
+                                     [b.nonzero for b in sub.reduced_basis])
+            assert [abs(v) for v in sparse] == [abs(v) for v in dense]
 
 
 class TestFixtureJson:
@@ -490,3 +535,140 @@ class TestKernel:
         else:
             assert got == want
         assert json.dumps(got) == json.dumps(want)
+
+    # -- the cached support --------------------------------------------------
+
+    @given(data=st.data(), exact=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_support_invariant_along_kernel_chains(self, data, exact):
+        n = data.draw(st.integers(1, 12))
+        zero = Fraction(0) if exact else 0.0
+        entry = (st.one_of(st.just(zero), st.just(zero), rational) if exact
+                 else st.one_of(st.sampled_from([0.0, -0.0]), float_coord))
+        scalar = (st.one_of(rational, st.integers(-3, 3)) if exact
+                  else st.one_of(st.sampled_from([0.0, -0.0, -1.0]),
+                                 st.floats(-4, 4)))
+
+        def vector():
+            coords = tuple(data.draw(st.lists(entry, min_size=n, max_size=n)))
+            return Seq(coords, exact, zero)
+
+        pool = [vector(), vector(), Seq.zero(n, exact)]
+        for _ in range(data.draw(st.integers(1, 10))):
+            op = data.draw(st.sampled_from(
+                ["add", "sub", "x-x", "scale", "scale0", "abs", "lift",
+                 "unit", "restrict"]))
+            x, y = data.draw(st.sampled_from(pool)), data.draw(
+                st.sampled_from(pool))
+            if op == "add":
+                got = x.add(y)
+                want = [u + v for u, v in zip(x.coords, y.coords)]
+                tail = x.tail_bound + y.tail_bound
+            elif op in ("sub", "x-x"):
+                y = x if op == "x-x" else y
+                got = x.sub(y)
+                want = [u - v for u, v in zip(x.coords, y.coords)]
+                tail = x.tail_bound + y.tail_bound
+            elif op in ("scale", "scale0"):
+                a = data.draw(scalar) if op == "scale" else zero
+                got = x.scale(a)
+                want = [a * u for u in x.coords]
+                tail = abs(a) * x.tail_bound
+            elif op == "abs":
+                got = x.abs_coords()
+                want = [abs(u) for u in x.coords]
+                tail = x.tail_bound
+            elif op == "lift":
+                got = x.lift()
+                want = [Fraction(u) for u in x.coords]
+                tail = Fraction(x.tail_bound)
+            elif op == "unit":
+                j = data.draw(st.integers(1, n))
+                got = Seq.unit(j, n, exact)
+                want = [1 if i == j else 0 for i in range(1, n + 1)]
+                tail = 0
+            else:
+                lo, hi = data.draw(st.integers(-1, n + 2)), data.draw(
+                    st.integers(-1, n + 2))
+                got = x.restrict((lo, hi))
+                off = Fraction(0) if x.exact else 0.0
+                want = [u if lo <= j <= hi else off
+                        for j, u in enumerate(x.coords, start=1)]
+                tail = 0
+            assert_support_and_dense(got, want, tail)
+            pool.append(got)
+
+    @given(pair=exact_pairs(), n=st.integers(1, 24), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_exact_readers_equal_dense_formulas(self, pair, n, data):
+        x, y = pair
+        vectors = [x, y, x.sub(y), x.add(y), x.sub(x), x.scale(0),
+                   x.abs_coords(), combine([x, y], [Fraction(1), Fraction(-1)])]
+        for v in vectors:
+            assert_support_and_dense(v, list(v.coords), v.tail_bound)
+            absolute = [abs(u) for u in v.coords]
+            assert norm(v, LINF) == max(absolute)
+            assert norm(v, L1) == sum(absolute, Fraction(0))
+            for p in (2, 3):
+                assert norm_pth_power(v, AmbientSpace.lp(p)) == sum(
+                    (u ** p for u in absolute), Fraction(0))
+            p32 = AmbientSpace.lp(Fraction(3, 2))
+            assert bits(norm_pth_power(v, p32)) == bits(
+                old_pth_power(v.coords, Fraction(3, 2)))
+            m = min(n, len(v))
+            rest = absolute[m:]
+            assert tail_norm(v, m, LINF) == max(rest + [v.tail_bound])
+            assert tail_norm(v, m, L1) == sum(rest, Fraction(0)) + v.tail_bound
+        family = data.draw(st.lists(st.sampled_from(vectors), min_size=1,
+                                    max_size=4))
+        rows, denom, cols = scan_rows(family)
+        dense_cols = [j for j in range(len(x))
+                      if any(f.coords[j] != 0 for f in family)] or [0]
+        assert cols == dense_cols
+        for f, row in zip(family, rows):
+            assert [Fraction(r, denom) for r in row] == [f.coords[j]
+                                                        for j in cols]
+
+    def test_cancellations_leave_the_support(self):
+        x = seq(1, 0, Fraction(1, 2), 0, -3)
+        y = seq(1, 2, 0, 0, -3)
+        assert x.sub(y).nonzero == (1, 2)
+        assert x.add(y.scale(-1)).nonzero == (1, 2)
+        assert x.sub(x).nonzero == ()
+        assert x.scale(0).nonzero == ()
+        assert combine([x, y], [Fraction(1), Fraction(-1)]).nonzero == (1, 2)
+        assert x.restrict((2, 4)).nonzero == (2,)
+        u = Seq((0.0, -0.0, 2.5, 0.0), False, 0.0)
+        assert u.nonzero == (2,) and u.lift().nonzero == (2,)
+        assert Seq.zero(4, True).nonzero == () == Seq.zero(4, False).nonzero
+        assert Seq.unit(3, 4, False).nonzero == (2,)
+
+    def test_support_survives_pickling(self):
+        x = seq(0, 1, 0, Fraction(-2, 3), 0, tail=Fraction(1, 4))
+        for v in (x, x.sub(seq(0, 1, 0, 0, 0)), Seq.unit(2, 5, True),
+                  Seq((0.0, -0.0, 1.5), False, 0.0).lift()):
+            cached = v.nonzero
+            copy = pickle.loads(pickle.dumps(v))
+            assert copy == v and copy.coords == v.coords
+            assert copy._nz == cached  # carried, not recomputed
+            assert_support_and_dense(copy, list(v.coords), v.tail_bound)
+        # the cache is not part of equality or hashing
+        fresh = seq(0, 0, Fraction(1, 3), 0, 0)
+        derived = seq(0, 1, Fraction(1, 3), 0, 0).sub(seq(0, 1, 0, 0, 0))
+        assert derived._nz is not None and fresh._nz is None
+        assert fresh == derived and hash(fresh) == hash(derived)
+
+
+def assert_support_and_dense(got: Seq, want: list, tail) -> None:
+    """got's cached support is {j : coords[j] != 0}, and its coordinates
+    and tail bound are the dense reference's: equal Fractions in exact
+    mode, equal bits in float mode."""
+    assert got.nonzero == tuple(j for j, v in enumerate(got.coords) if v != 0)
+    assert len(got.coords) == len(want)
+    if got.exact:
+        assert list(got.coords) == want
+        assert all(type(v) is Fraction for v in got.coords)
+        assert got.tail_bound == tail
+    else:
+        assert [bits(v) for v in got.coords] == [bits(float(v)) for v in want]
+        assert bits(float(got.tail_bound)) == bits(float(tail))

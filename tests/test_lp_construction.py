@@ -277,8 +277,8 @@ class TestZeroedSequence:
         for fk in cert.dominance.f:
             assert norm(q.apply(fk).sub(fk), q.space) <= (0 if q.exact
                                                            else 1e-7)
-        support = sorted({j for v in q.functionals + q.vectors
-                          for j in v.support()})
+        support = sorted({j + 1 for v in q.functionals + q.vectors
+                          for j in v.nonzero})
         entries = data.draw(st.lists(
             st.tuples(st.sampled_from(support), st.integers(-64, 64)),
             min_size=1, max_size=16))
