@@ -14,21 +14,26 @@ Every ``Seq`` caches its support, ``Seq.nonzero``: the ascending tuple
 of the 0-based indices j with ``coords[j] != 0`` (so a float -0.0 is not
 in it).  A Seq built directly finds it once, on first use.  The exact
 kernels (``add``, ``sub``, ``scale``, ``abs_coords``, ``restrict``,
-``lift``, ``unit``, ``combine`` and ``tail_norm``'s slice) pass on the
-support they already know, minus any cancellations, and the exact
-readers (``norm``, ``norm_pth_power``, ``combine``, ``scan_rows`` and the
-``Subspace`` residual) iterate it instead of the T coordinates.  So
-mostly-zero exact vectors cost in proportion to their nonzeros, with the
-values and types a full loop gives; ``coords`` stays the dense tuple.
+``lift``, ``unit``, ``combine``) and ``tail_norm``'s slice pass on the
+support they already know, minus any cancellations.  The readers
+(``norm``, ``norm_pth_power``, ``combine``, ``scan_rows`` and the
+``Subspace`` residual) iterate it instead of the T coordinates, in both
+modes: each one skips zeros or takes |v|, so a -0.0 it no longer visits
+changes no value.  So mostly-zero vectors cost in proportion to their
+nonzeros, with the values, types and float bits a full loop gives;
+``coords`` stays the dense tuple.
 
-Float ``add``/``sub``/``scale`` and the float norms keep their dense
-loops: a skip would not keep signed zeros (-0.0 - -0.0 is 0.0, and
-a * 0.0 is -0.0 for a < 0).  ``combine`` sums into accumulators that
-start at +0.0 and so never hold -0.0, which adding c * (+-0.0) leaves as
-they are.
+Float ``add``/``sub``/``scale``/``abs_coords`` keep their dense loops:
+they write coordinates, and a skip would not keep signed zeros
+(-0.0 - -0.0 is 0.0, and a * 0.0 is -0.0 for a < 0).  ``combine`` sums
+into accumulators that start at +0.0 and so never hold -0.0, which
+adding c * (+-0.0) leaves as they are.
 
-All values are immutable after construction; every function here is
-pure, so callers may share objects freely across threads.
+All values are immutable after construction, except that a Seq fills
+its private support cache ``_nz`` on first use; that write is
+idempotent, giving the same tuple whichever thread makes it.  Every
+function here is pure, so callers may share objects freely across
+threads.
 """
 from __future__ import annotations
 
@@ -294,18 +299,13 @@ def norm(x: Seq, space: AmbientSpace) -> Scalar:
     Exact for the sup norm and l1 on Fraction coordinates; general lp
     returns a float.  Raises NonFiniteCoordinate on NaN/inf input.
     """
-    if x.exact:
-        coords = x.coords
-        if space.is_sup:
-            return max((abs(coords[j]) for j in x.nonzero), default=Fraction(0))
-        if space.p == 1:
-            return sum((abs(coords[j]) for j in x.nonzero), Fraction(0))
-    else:
+    if not x.exact:
         _check_finite_coords(x.coords)
-        if space.is_sup:
-            return max(map(abs, x.coords), default=0.0)
-        if space.p == 1:
-            return sum((abs(v) for v in x.coords if v), 0.0)
+    coords, zero = x.coords, Fraction(0) if x.exact else 0.0
+    if space.is_sup:
+        return max((abs(coords[j]) for j in x.nonzero), default=zero)
+    if space.p == 1:
+        return sum((abs(coords[j]) for j in x.nonzero), zero)
     total = norm_pth_power(x, space)
     return float(total) ** (1.0 / float(space.p))
 
@@ -317,16 +317,12 @@ def norm_pth_power(x: Seq, space: AmbientSpace) -> Scalar:
     """
     if space.is_sup:
         raise ConfigError("norm_pth_power needs a finite p")
-    p = space.integer_p
-    if x.exact:
-        coords = x.coords
-        values = (abs(coords[j]) for j in x.nonzero)
-        if p is not None:
-            return sum((v ** p for v in values), Fraction(0))
-        p = float(space.p)  # a Fraction's ** p is float(|v|) ** p
-        return sum((v ** p for v in values), 0.0)
-    p = float(space.p)
-    return sum((abs(v) ** p for v in x.coords if v), 0.0)
+    p, coords = space.integer_p, x.coords
+    values = (abs(coords[j]) for j in x.nonzero)
+    if p is not None and x.exact:
+        return sum((v ** p for v in values), Fraction(0))
+    p = float(space.p)  # a Fraction's ** p is float(|v|) ** p
+    return sum((v ** p for v in values), 0.0)
 
 
 def hadamard(x: Seq, y: Seq) -> Seq:
@@ -351,10 +347,9 @@ def tail_norm(x: Seq, n: int, space: AmbientSpace) -> Scalar:
     """
     if not 1 <= n <= len(x):
         raise IndexOutOfRange(f"tail index {n} outside [1, {len(x)}]")
-    rest = Seq(x.coords[n:], x.exact, 0)
-    if x.exact:
-        nz = x.nonzero
-        _known_support(rest, tuple(j - n for j in nz[bisect_left(nz, n):]))
+    nz = x.nonzero
+    rest = _known_support(Seq(x.coords[n:], x.exact, 0),
+                          tuple(j - n for j in nz[bisect_left(nz, n):]))
     if space.is_sup:
         s = norm(rest, space)
         return max(s, x.tail_bound)
@@ -371,8 +366,7 @@ def tail_norm(x: Seq, n: int, space: AmbientSpace) -> Scalar:
 def combine(basis: Sequence[Seq], coeffs: Sequence[Scalar]) -> Seq:
     """Linear combination sum(c_i * b_i) with triangle-inequality tail bound.
 
-    Both modes skip zero coordinates: an exact vector is read on its
-    support, a float one by a zero test on every coordinate.  A float
+    Each vector is read on its support, in both modes.  A float
     accumulator starts at +0.0 and round-to-nearest addition gives -0.0
     only from -0.0 + -0.0, so it never holds -0.0 and adding c * (+-0.0)
     for a finite c keeps its bits.
@@ -391,15 +385,10 @@ def combine(basis: Sequence[Seq], coeffs: Sequence[Scalar]) -> Seq:
     for c, b in zip(coeffs, basis):
         if c == 0:
             continue
-        coords = b.coords
-        if b.exact:
-            supports.append(b.nonzero)
-            for j in b.nonzero:
-                acc[j] += c * coords[j]
-        else:
-            for j, v in enumerate(coords):
-                if v:
-                    acc[j] += c * v
+        coords, nz = b.coords, b.nonzero
+        supports.append(nz)
+        for j in nz:
+            acc[j] += c * coords[j]
         tail += abs(c) * b.tail_bound
     if exact:
         return _exact_seq(acc, tail, _union_support(acc, supports))
@@ -431,11 +420,9 @@ def scan_rows(family: Sequence[Seq]) -> tuple[list, int, list]:
     ``family[i].at(cols[p] + 1) == rows[i][p] / D``.  Float mode: the
     coordinates unchanged, with D = 1.  Tail bounds are not carried.
     """
-    if not all(f.exact for f in family):
-        columns = zip(*(f.coords for f in family))
-        cols = [j for j, column in enumerate(columns) if any(column)] or [0]
-        return [[f.coords[j] for j in cols] for f in family], 1, cols
     cols = sorted(set().union(*(f.nonzero for f in family))) or [0]
+    if not all(f.exact for f in family):
+        return [[f.coords[j] for j in cols] for f in family], 1, cols
     denom = math.lcm(*(f.coords[j].denominator for f in family for j in cols))
     rows = [[(v := f.coords[j]).numerator * (denom // v.denominator)
              for j in cols] for f in family]
@@ -532,17 +519,15 @@ class Subspace:
     def residual_norm(self, x: Seq) -> Scalar:
         """Sup-norm of x minus its projection onto the reduced basis.
 
-        The residual is zero off the supports of x and of the basis, so in
-        exact mode its sup is read there only.
+        The residual is zero off the supports of x and of the basis, so
+        its sup is read there only.
         """
         basis = self.reduced_basis
         supports = [b.nonzero for b in basis]
         res = linalg.residual_vector(x.coords, [b.coords for b in basis],
                                      [pc - 1 for pc in self.pivots], supports)
-        if self.exact and x.exact:
-            return max((abs(res[j]) for j in set(x.nonzero).union(*supports)),
-                       default=Fraction(0))
-        return max(map(abs, res), default=Fraction(0) if self.exact else 0.0)
+        return max((abs(res[j]) for j in set(x.nonzero).union(*supports)),
+                   default=Fraction(0) if self.exact else 0.0)
 
     def contains(self, x: Seq) -> bool:
         return self.residual_norm(x) <= zero_tol(self.exact)

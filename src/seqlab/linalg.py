@@ -148,7 +148,7 @@ def residual_vector(vec: Sequence[Scalar], rows: Sequence[Sequence[Scalar]],
     subtraction.
     """
     out = list(vec)
-    for row, pc, cols in zip(rows, pivots, supports):
+    for row, pc, cols in zip(rows, pivots, supports, strict=True):
         c = out[pc]
         if c != 0:
             for j in cols:

@@ -629,6 +629,35 @@ class TestKernel:
             assert [Fraction(r, denom) for r in row] == [f.coords[j]
                                                         for j in cols]
 
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_float_readers_equal_dense_formulas(self, data):
+        n = data.draw(st.integers(1, 16))
+        family = [Seq(tuple(data.draw(st.lists(float_coord, min_size=n,
+                                               max_size=n))), False,
+                      data.draw(st.floats(0, 1e100)))
+                  for _ in range(data.draw(st.integers(1, 4)))]
+        m = data.draw(st.integers(1, n))
+        for v in family:
+            absolute = [abs(u) for u in v.coords]
+            assert bits(norm(v, LINF)) == bits(max(absolute))
+            assert bits(tail_norm(v, m, LINF)) == bits(
+                max(absolute[m:] + [v.tail_bound]))
+            assert bits(tail_norm(v, m, L1)) == bits(
+                sum(absolute[m:], 0.0) + v.tail_bound)
+            try:
+                rest = old_pth_power(v.coords[m:], 2)
+            except OverflowError:
+                continue
+            want = (rest + v.tail_bound ** 2.0) ** 0.5
+            assert bits(tail_norm(v, m, L2)) == bits(want)
+        rows, denom, cols = scan_rows(family)
+        assert denom == 1
+        assert cols == ([j for j in range(n)
+                         if any(f.coords[j] != 0 for f in family)] or [0])
+        for f, row in zip(family, rows):
+            assert [bits(r) for r in row] == [bits(f.coords[j]) for j in cols]
+
     def test_cancellations_leave_the_support(self):
         x = seq(1, 0, Fraction(1, 2), 0, -3)
         y = seq(1, 2, 0, 0, -3)
