@@ -15,7 +15,8 @@ of the 0-based indices j with ``coords[j] != 0`` (so a float -0.0 is not
 in it).  A Seq built directly finds it once, on first use.  The exact
 kernels (``add``, ``sub``, ``scale``, ``abs_coords``, ``restrict``,
 ``lift``, ``unit``, ``combine``) and ``tail_norm``'s slice pass on the
-support they already know, minus any cancellations.  The readers
+support they already know, minus any cancellations; ``with_tail`` keeps
+a cached one.  The readers
 (``norm``, ``norm_pth_power``, ``combine``, ``scan_rows`` and the
 ``Subspace`` residual) iterate it instead of the T coordinates, in both
 modes: each one skips zeros or takes |v|, so a -0.0 it no longer visits
@@ -157,6 +158,13 @@ class Seq:
             nz = tuple(compress(range(len(self.coords)), self.coords))
             object.__setattr__(self, "_nz", nz)
         return nz
+
+    def with_tail(self, tail_bound: Scalar) -> "Seq":
+        """These coordinates with another tail bound; a cached support
+        carries over."""
+        out = Seq(self.coords, self.exact, tail_bound)
+        object.__setattr__(out, "_nz", self._nz)
+        return out
 
     def __len__(self) -> int:
         return len(self.coords)

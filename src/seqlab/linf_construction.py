@@ -260,19 +260,38 @@ def extract_stabilizing_subsequence(g1: Seq, g2: Seq, m: Sequence[int],
 # ---------------------------------------------------------------------------
 
 def _constrained_basis(subspace: Subspace, constraints: Sequence[int], tol):
-    """RREF basis (and 1-based pivots) of {f in span(V): f(j)=0 for j in constraints}."""
+    """RREF basis of {f in span(V): f(j)=0 for j in constraints}.
+
+    Exact mode reduces in coefficient space.  The reduced basis b of V
+    has pivots P, so a nonzero combination sum c_i b_i has its leading
+    entry at P_i for the first i with c_i != 0, and its value there is
+    c_i.  A T-wide elimination of the combined vectors therefore pivots
+    only on P columns and performs the row operations, multipliers,
+    pivot scalings and tail updates of an RREF of the coefficient rows.
+    So the coefficient rows are reduced, each reduced row R is combined
+    once, and its tail bound is the one the elimination produced, not
+    combine's.  The initial tails are combine's, sum |c_i| tail(b_i),
+    over the b_i with a nonzero tail.
+
+    Float mode reduces the T-wide vectors: partial pivoting with eta
+    and float rounding differ between the two spaces, so only the
+    T-wide path gives the float bits the certificates hold.
+    """
     basis = subspace.reduced_basis
     matrix = [[b.at(j) for b in basis] for j in constraints]
     coeff_rows = linalg.nullspace_basis(matrix, len(basis), tol)
     if not coeff_rows:
-        return (), ()
-    vs = [combine(basis, c) for c in coeff_rows]
-    rows = [list(v.coords) for v in vs]
-    tails = [v.tail_bound for v in vs]
-    rows, tails, pivots = linalg.rref(rows, tol, tails)
-    exact = subspace.exact
-    out = tuple(Seq(tuple(r), exact, tb) for r, tb in zip(rows, tails))
-    return out, tuple(pc + 1 for pc in pivots)
+        return ()
+    if not subspace.exact:
+        vs = [combine(basis, c) for c in coeff_rows]
+        rows, tails, _ = linalg.rref([list(v.coords) for v in vs], tol,
+                                     [v.tail_bound for v in vs])
+        return tuple(Seq(tuple(r), False, tb) for r, tb in zip(rows, tails))
+    tailed = [(i, b.tail_bound) for i, b in enumerate(basis) if b.tail_bound]
+    tails = [sum((abs(c[i]) * tb for i, tb in tailed), Fraction(0))
+             for c in coeff_rows]
+    rows, tails, _ = linalg.rref(coeff_rows, tol, tails)
+    return tuple(combine(basis, r).with_tail(tb) for r, tb in zip(rows, tails))
 
 
 def _scan_ratio(y: list, p: Optional[int], exact: bool) -> Scalar:
@@ -569,7 +588,7 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
                     constraint_set.add(best_j)
         net_sizes.append(net_count)
         functional_log.append(tuple(sorted(set(step_functionals))))
-        w_basis, _ = _constrained_basis(subspace, constraints, tol)
+        w_basis = _constrained_basis(subspace, constraints, tol)
 
     checks = mazur_checks(f_list, n_list, eps_seq, seed, samples)
     for check in checks:

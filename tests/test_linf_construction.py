@@ -1,10 +1,14 @@
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from seqlab import linalg
 from seqlab.certificates import SCHEMA_VERSION
-from seqlab.core import AmbientSpace, Seq, norm
+from seqlab.core import AmbientSpace, Seq, Subspace, combine, norm
 from seqlab.errors import (
     CaseBoundViolated,
     ConfigError,
@@ -13,8 +17,10 @@ from seqlab.errors import (
     NetTooCoarse,
     ZeroVector,
 )
+from seqlab.lineability import geometric_generator
 from seqlab.linf_construction import (
     MazurCert,
+    _constrained_basis,
     build_cascade,
     construct_sup_zeroed_sequence,
     extract_stabilizing_subsequence,
@@ -23,6 +29,7 @@ from seqlab.linf_construction import (
     sample_basis_inequality,
 )
 from conftest import tailed_linf_subspace, unit_subspace
+from test_linalg import fraction_rref
 
 LINF = AmbientSpace.linf()
 
@@ -276,3 +283,73 @@ class TestSupZeroing:
         cert = construct_sup_zeroed_sequence(sub, 4, seed=1)
         assert cert.true_k_condition_verified is False
         assert 2 * cert.k_est * cert.eps < 1
+
+
+@st.composite
+def exact_sup_subspace(draw):
+    """An exact linf or c0 span of unit, scaled-unit, geometric (nonzero
+    sup tail) and dense generators."""
+    space = draw(st.sampled_from([LINF, AmbientSpace.c0()]))
+    t = draw(st.integers(4, 14))
+    gens = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["unit", "scaled", "geometric", "dense"]))
+        if kind == "unit":
+            gens.append(Seq.unit(draw(st.integers(1, t)), t, True))
+        elif kind == "scaled":
+            j = draw(st.integers(1, t))
+            gens.append(Seq.unit(j, t, True).scale(Fraction(1, 2 ** (j + 24))))
+        elif kind == "geometric":
+            ratio = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3),
+                                          Fraction(3, 5), Fraction(7, 8)]))
+            gens.append(geometric_generator(ratio, t, space))
+        else:
+            coords = draw(st.lists(st.one_of(
+                st.just(Fraction(0)),
+                st.fractions(min_value=-4, max_value=4, max_denominator=9)),
+                min_size=t, max_size=t))
+            tail = draw(st.one_of(st.just(Fraction(0)),
+                                  st.fractions(min_value=0, max_value=1,
+                                               max_denominator=7)))
+            gens.append(Seq(tuple(coords), True, tail))
+    return space, gens
+
+
+def _t_wide_constrained_basis(subspace, constraints):
+    """The reduction the exact path replaced: combine the nullspace
+    coefficients first, then reduce the T-wide vectors."""
+    basis = subspace.reduced_basis
+    matrix = [[b.at(j) for b in basis] for j in constraints]
+    coeff_rows = linalg.nullspace_basis(matrix, len(basis), Fraction(0))
+    if not coeff_rows:
+        return ()
+    vs = [combine(basis, c) for c in coeff_rows]
+    rows, tails, _ = linalg.rref([list(v.coords) for v in vs], Fraction(0),
+                                 [v.tail_bound for v in vs])
+    return tuple(Seq(tuple(r), True, tb) for r, tb in zip(rows, tails))
+
+
+class TestConstrainedBasis:
+    @given(fixture=exact_sup_subspace(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_equals_t_wide_reduction(self, fixture, data):
+        space, gens = fixture
+        t = len(gens[0])
+        constraints = data.draw(st.lists(st.integers(1, t), max_size=4,
+                                         unique=True))
+        sub = Subspace.build(space, gens)
+        got = _constrained_basis(sub, constraints, Fraction(0))
+        with mock.patch.object(linalg, "rref", fraction_rref):
+            ref_sub = Subspace.build(space, gens)
+            want = _t_wide_constrained_basis(ref_sub, constraints)
+        assert sub.reduced_basis == ref_sub.reduced_basis
+        assert sub.pivots == ref_sub.pivots
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.coords == w.coords
+            assert all(type(v) is Fraction for v in g.coords)
+            assert g.tail_bound == w.tail_bound
+            assert type(g.tail_bound) is type(w.tail_bound)
+            assert g.nonzero == tuple(j for j, v in enumerate(g.coords)
+                                      if v != 0)
+            assert g.exact
