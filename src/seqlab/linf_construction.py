@@ -260,7 +260,12 @@ def extract_stabilizing_subsequence(g1: Seq, g2: Seq, m: Sequence[int],
 # ---------------------------------------------------------------------------
 
 def _constrained_basis(subspace: Subspace, constraints: Sequence[int], tol):
-    """RREF basis of {f in span(V): f(j)=0 for j in constraints}.
+    """RREF basis of {f in span(V): f(j)=0 for j in constraints}, rebuilt
+    from the reduced basis of V.
+
+    ``mazur_basic_sequence`` calls it in float mode and on exact fixtures
+    whose reduced basis has a nonzero tail bound; an exact untailed
+    fixture takes ``_impose_zeros`` instead, which gives the same basis.
 
     Exact mode reduces in coefficient space.  The reduced basis b of V
     has pivots P, so a nonzero combination sum c_i b_i has its leading
@@ -271,7 +276,11 @@ def _constrained_basis(subspace: Subspace, constraints: Sequence[int], tol):
     So the coefficient rows are reduced, each reduced row R is combined
     once, and its tail bound is the one the elimination produced, not
     combine's.  The initial tails are combine's, sum |c_i| tail(b_i),
-    over the b_i with a nonzero tail.
+    over the b_i with a nonzero tail.  Those tails depend on the
+    elimination's path and not only on the subspace, which is why a
+    tailed fixture keeps this rebuild: an update one constraint at a time
+    reaches the same coordinates but, on geometric generators, other tail
+    bounds, and so other certificate bytes.
 
     Float mode reduces the T-wide vectors: partial pivoting with eta
     and float rounding differ between the two spaces, so only the
@@ -292,6 +301,33 @@ def _constrained_basis(subspace: Subspace, constraints: Sequence[int], tol):
              for c in coeff_rows]
     rows, tails, _ = linalg.rref(coeff_rows, tol, tails)
     return tuple(combine(basis, r).with_tail(tb) for r, tb in zip(rows, tails))
+
+
+def _impose_zeros(w_basis: Sequence[Seq], coords: Sequence[int]) -> tuple:
+    """RREF basis of {f in span(w_basis): f(j)=0 for j in coords}, for an
+    exact RREF basis w_basis whose tail bounds are all 0.
+
+    Each j removes at most one dimension.  The last vector b* with
+    b*(j) != 0 is dropped, after b*(j)^-1 b(j) b* is subtracted from each
+    other vector b nonzero at j.  Those vectors come before b*, so b* is
+    zero at their pivots and they keep them; b* is zero at every other
+    pivot too, so the result is again an RREF basis and, the RREF of a
+    subspace being unique, the one ``_constrained_basis`` rebuilds.  The
+    tail bounds stay 0, each as Fraction(0), as that rebuild gives them.
+    """
+    basis = list(w_basis)
+    for j in coords:
+        hits = [i for i, b in enumerate(basis) if b.coords[j - 1]]
+        if not hits:
+            continue
+        star = basis.pop(hits[-1])
+        pivot = star.coords[j - 1]
+        for i in hits[:-1]:
+            b = basis[i]
+            basis[i] = b.sub(star.scale(b.coords[j - 1] / pivot))
+    zero = Fraction(0)
+    return tuple(b if type(b.tail_bound) is Fraction else b.with_tail(zero)
+                 for b in basis)
 
 
 def _scan_ratio(y: list, p: Optional[int], exact: bool) -> Scalar:
@@ -503,6 +539,13 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
     subspace by the new coordinate plus the argmax coordinates of a
     deterministic net over the current span.  The recorded basis
     inequality is sampled afterwards; failure raises NetTooCoarse.
+
+    The working subspace stays an RREF basis.  On an exact fixture whose
+    reduced basis has only zero tail bounds, each step updates it for the
+    constraints the step added (``_impose_zeros``).  A tailed exact
+    fixture and float mode rebuild it from the reduced basis at every
+    step (``_constrained_basis``): an update would change the tail bounds
+    or the float bits, and so the certificate bytes.
     """
     if not subspace.ambient.is_sup:
         raise ConfigError("mazur construction needs a sup-norm ambient (linf/c0)")
@@ -532,6 +575,7 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
     constraints: list[int] = []
     constraint_set: set[int] = set()
     w_basis = subspace.reduced_basis  # RREF: pivot coefficients are read off
+    incremental = exact and not any(b.tail_bound for b in w_basis)
 
     for k in range(1, depth + 1):
         if not w_basis:
@@ -571,6 +615,7 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
         f_k = witness.scale((Fraction(1) if exact else 1.0) / pivot_val)
         n_list.append(n_k)
         f_list.append(f_k)
+        done = len(constraints)
         constraints.append(n_k)
         constraint_set.add(n_k)
         step_functionals: list[tuple] = []
@@ -588,7 +633,10 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
                     constraint_set.add(best_j)
         net_sizes.append(net_count)
         functional_log.append(tuple(sorted(set(step_functionals))))
-        w_basis = _constrained_basis(subspace, constraints, tol)
+        if incremental:
+            w_basis = _impose_zeros(w_basis, constraints[done:])
+        else:
+            w_basis = _constrained_basis(subspace, constraints, tol)
 
     checks = mazur_checks(f_list, n_list, eps_seq, seed, samples)
     for check in checks:

@@ -4,7 +4,8 @@ test_11 sup_zeroing and c0 density scenarios, and the same sup_zeroing
 in float mode), of four lp and lineability certificates (the l2
 zeroing scenario of test_11, a dominance certificate at eps = 1/100, an
 lp density repair and the test_11 lineability certificate) and of the
-test_11 witness, and GOLDEN_NET pins four Mazur certificates.  A
+test_11 witness.  GOLDEN_NET pins four Mazur certificates on dense
+fixtures, and GOLDEN_TAILED two on fixtures with generator tails.  A
 refactor that changes a digest changed what seqlab emits; it must say
 so and update the digest deliberately.
 
@@ -81,6 +82,20 @@ GOLDEN_NET = {
 
 #: seed -> (space, truncation, depth, zero constraints the net adds)
 NET_FIXTURES = {2032: ("linf", 42, 4, 17), 2002: ("c0", 40, 5, 16)}
+
+#: exact Mazur certificates on two fixtures of the tailed recipe, whose
+#: geometric generators give the reduced basis nonzero tail bounds: the
+#: only sup-norm pins with generator tails.  Computed while every step
+#: still rebuilt its working subspace from the reduced basis; a working
+#: subspace updated one constraint at a time has the same coordinates
+#: but other tail bounds here, so these digests fail under it.
+GOLDEN_TAILED = {
+    7: "665d3441f8b3fd6b237a9125025bd853781cfdfae5fd9109af30b2354e063cfe",
+    12: "cbe97f7497fce949e1cc1288f011fdbc268b3bfda3b813722c970752c6aac1a6",
+}
+
+#: seed -> (space, truncation, depth)
+TAILED_FIXTURES = {7: ("linf", 40, 6), 12: ("c0", 50, 4)}
 
 LINF_PARAMS = {"depth": 4, "stab_tol": Fraction(1, 10 ** 6),
                "samples": 60, "mode": "auto", "seed": 11}
@@ -232,3 +247,44 @@ def test_net_adding_constraints_bytes_pinned(seed, mode):
                                 seed=0, samples=60)
     assert len(cert.zeroed_coords) - len(cert.n) == added
     assert _digest(cert.as_json()) == GOLDEN_NET[(seed, mode)]
+
+
+def _tailed_fixture(seed):
+    """A tailed fixture: T, the space, the generator count, then per
+    generator u = rng.random() selects a geometric generator (u < 0.45:
+    a ratio, then a scale a/b), a unit (u < 0.7: its index) or a dense
+    one (each entry set with probability 0.4 to k/b, k in -4..4, b in
+    1..9), and last the depth, drawn in that order."""
+    rng = random.Random(seed)
+    t = rng.randint(20, 60)
+    space = rng.choice(["linf", "c0"])
+    gens = []
+    for _ in range(rng.randint(4, 16)):
+        u = rng.random()
+        if u < 0.45:
+            ratio = rng.choice(["1/2", "1/3", "3/5", "7/8", "9/10", "2/7"])
+            scale = Fraction(rng.choice([1, -1, 2, 3, -5]),
+                             rng.choice([1, 2, 7]))
+            gens.append({"kind": "geometric", "ratio": ratio,
+                         "scale": str(scale)})
+        elif u < 0.7:
+            gens.append({"kind": "unit", "index": rng.randint(1, t)})
+        else:
+            coords = [str(Fraction(rng.randint(-4, 4), rng.randint(1, 9)))
+                      if rng.random() < 0.4 else "0" for _ in range(t)]
+            gens.append({"kind": "dense", "coords": coords})
+    depth = rng.randint(2, 7)
+    return {"space": {"kind": space}, "truncation": t,
+            "generators": gens}, depth
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_TAILED))
+def test_tailed_mazur_bytes_pinned(seed):
+    obj, depth = _tailed_fixture(seed)
+    assert (obj["space"]["kind"], obj["truncation"], depth) == \
+        TAILED_FIXTURES[seed]
+    sub = subspace_from_json(obj, mode="exact")
+    assert any(b.tail_bound for b in sub.reduced_basis)
+    cert = mazur_basic_sequence(sub, default_eps_seq(depth, True), depth,
+                                seed=0, samples=60)
+    assert _digest(cert.as_json()) == GOLDEN_TAILED[seed]

@@ -21,8 +21,10 @@ from seqlab.lineability import geometric_generator
 from seqlab.linf_construction import (
     MazurCert,
     _constrained_basis,
+    _impose_zeros,
     build_cascade,
     construct_sup_zeroed_sequence,
+    default_eps_seq,
     extract_stabilizing_subsequence,
     halving_support,
     mazur_basic_sequence,
@@ -286,14 +288,17 @@ class TestSupZeroing:
 
 
 @st.composite
-def exact_sup_subspace(draw):
-    """An exact linf or c0 span of unit, scaled-unit, geometric (nonzero
-    sup tail) and dense generators."""
+def exact_sup_subspace(draw, tailed=True):
+    """An exact linf or c0 span of unit, scaled-unit, dense and, when
+    tailed, geometric (nonzero sup tail) generators.  Untailed, every tail
+    bound is 0, and a dense generator may carry Seq's default int 0."""
     space = draw(st.sampled_from([LINF, AmbientSpace.c0()]))
     t = draw(st.integers(4, 14))
+    kinds = ["unit", "scaled", "geometric", "dense"] if tailed \
+        else ["unit", "scaled", "dense"]
     gens = []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["unit", "scaled", "geometric", "dense"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "unit":
             gens.append(Seq.unit(draw(st.integers(1, t)), t, True))
         elif kind == "scaled":
@@ -308,17 +313,35 @@ def exact_sup_subspace(draw):
                 st.just(Fraction(0)),
                 st.fractions(min_value=-4, max_value=4, max_denominator=9)),
                 min_size=t, max_size=t))
-            tail = draw(st.one_of(st.just(Fraction(0)),
-                                  st.fractions(min_value=0, max_value=1,
-                                               max_denominator=7)))
+            if tailed:
+                tail = draw(st.one_of(st.just(Fraction(0)),
+                                      st.fractions(min_value=0, max_value=1,
+                                                   max_denominator=7)))
+            else:
+                tail = draw(st.sampled_from([0, Fraction(0)]))
             gens.append(Seq(tuple(coords), True, tail))
     return space, gens
+
+
+def _assert_same_basis(got, want):
+    """Equal RREF bases: coordinates, tail values and types, supports."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.coords == w.coords
+        assert all(type(v) is Fraction for v in g.coords)
+        assert g.tail_bound == w.tail_bound
+        assert type(g.tail_bound) is type(w.tail_bound)
+        assert g.nonzero == w.nonzero == tuple(
+            j for j, v in enumerate(g.coords) if v != 0)
+        assert g.exact
 
 
 def _t_wide_constrained_basis(subspace, constraints):
     """The reduction the exact path replaced: combine the nullspace
     coefficients first, then reduce the T-wide vectors."""
     basis = subspace.reduced_basis
+    if not basis:  # a zero fixture: no coefficient rows to reduce
+        return ()
     matrix = [[b.at(j) for b in basis] for j in constraints]
     coeff_rows = linalg.nullspace_basis(matrix, len(basis), Fraction(0))
     if not coeff_rows:
@@ -344,12 +367,65 @@ class TestConstrainedBasis:
             want = _t_wide_constrained_basis(ref_sub, constraints)
         assert sub.reduced_basis == ref_sub.reduced_basis
         assert sub.pivots == ref_sub.pivots
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.coords == w.coords
-            assert all(type(v) is Fraction for v in g.coords)
-            assert g.tail_bound == w.tail_bound
-            assert type(g.tail_bound) is type(w.tail_bound)
-            assert g.nonzero == tuple(j for j, v in enumerate(g.coords)
-                                      if v != 0)
-            assert g.exact
+        _assert_same_basis(got, want)
+
+    @given(fixture=exact_sup_subspace(tailed=False), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_incremental_update_equals_rebuild(self, fixture, data):
+        """One constraint at a time, the update gives the rebuild's basis,
+        on pivot columns, all-zero columns and repeated constraints."""
+        space, gens = fixture
+        t = len(gens[0])
+        sub = Subspace.build(space, gens)
+        zero_cols = [j for j in range(1, t + 1)
+                     if not any(g.at(j) for g in gens)]
+        pools = [st.integers(1, t)]
+        if sub.pivots:
+            pools.append(st.sampled_from(sub.pivots))
+        if zero_cols:
+            pools.append(st.sampled_from(zero_cols))
+        constraints = data.draw(st.lists(st.one_of(*pools), max_size=7))
+        w_basis = sub.reduced_basis
+        for k, j in enumerate(constraints, start=1):
+            w_basis = _impose_zeros(w_basis, [j])
+            want = _constrained_basis(sub, constraints[:k], Fraction(0))
+            _assert_same_basis(w_basis, want)
+
+    def test_incremental_update_cases(self):
+        """An all-zero column, a repeated constraint and a pivot column
+        that the span already meets with zeros remove no dimension; the
+        other constraints remove one each.  Untouched int 0 tails become
+        Fraction(0), as the rebuild gives them."""
+        t = 5
+        gens = [Seq((Fraction(1), Fraction(0), Fraction(2), Fraction(0),
+                     Fraction(0)), True),
+                Seq((Fraction(0), Fraction(1), Fraction(-1), Fraction(0),
+                     Fraction(0)), True),
+                Seq((Fraction(0),) * 3 + (Fraction(1), Fraction(0)), True)]
+        sub = Subspace.build(LINF, gens)
+        assert sub.pivots == (1, 2, 4)
+        assert type(sub.reduced_basis[0].tail_bound) is int
+        w_basis, constraints = sub.reduced_basis, []
+        for j, dim in ((t, 3), (2, 2), (3, 1), (3, 1), (1, 1), (4, 0)):
+            constraints.append(j)
+            w_basis = _impose_zeros(w_basis, [j])
+            assert len(w_basis) == dim
+            _assert_same_basis(
+                w_basis, _constrained_basis(sub, constraints, Fraction(0)))
+
+    @pytest.mark.parametrize("case", ["untailed", "tailed", "float"])
+    def test_mazur_rebuilds_only_tailed_or_float(self, case):
+        """The Mazur loop updates an untailed exact working subspace, and
+        rebuilds it from the fixture on tailed exact and float fixtures."""
+        t, exact = 40, case != "float"
+        sub = tailed_linf_subspace(12, t, exact=exact)
+        if case == "tailed":
+            sub = Subspace.build(LINF, sub.generators + (
+                geometric_generator(Fraction(1, 2), t, LINF),))
+        assert any(b.tail_bound for b in sub.reduced_basis) == (case == "tailed")
+        with mock.patch("seqlab.linf_construction._constrained_basis",
+                        wraps=_constrained_basis) as rebuild:
+            cert = mazur_basic_sequence(sub, default_eps_seq(4, exact), 4,
+                                        samples=20)
+        assert cert.status == "pass"
+        assert rebuild.call_count == (0 if case == "untailed" else 4)
