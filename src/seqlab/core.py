@@ -24,22 +24,29 @@ changes no value.  So mostly-zero vectors cost in proportion to their
 nonzeros, with the values, types and float bits a full loop gives;
 ``coords`` stays the dense tuple.
 
-Float ``add``/``sub``/``scale``/``abs_coords`` keep their dense loops:
-they write coordinates, and a skip would not keep signed zeros
-(-0.0 - -0.0 is 0.0, and a * 0.0 is -0.0 for a < 0).  ``combine`` sums
-into accumulators that start at +0.0 and so never hold -0.0, which
-adding c * (+-0.0) leaves as they are.
+A float Seq also caches its zero frame, ``Seq.frame`` = (z, marked):
+every coordinate whose index is not in the ascending tuple marked is
+the float zero z (+0.0 or -0.0), bit for bit.  The float kernels
+(``add``, ``sub``, ``scale``, ``abs_coords``, ``normalize`` and the
+output of ``combine``) compute the result's zero once from their
+operands' zeros (-0.0 - +0.0 is -0.0, a * 0.0 is -0.0 for a < 0) and
+evaluate the marked indices only, each with the expression a full loop
+would apply to it; the dense ``coords`` are that zero repeated and
+patched.  So they keep every signed zero and float bit while costing in
+proportion to the nonzeros.  A result whose zero is not a zero (inf *
+0.0 is NaN) caches nothing and finds its caches when first asked.
 
 All values are immutable after construction, except that a Seq fills
-its private support cache ``_nz`` on first use; that write is
-idempotent, giving the same tuple whichever thread makes it.  Every
-function here is pure, so callers may share objects freely across
+its private caches ``_nz`` and ``_frame`` on first use; those writes
+are idempotent, giving the same tuple whichever thread makes them.
+Every function here is pure, so callers may share objects freely across
 threads.
 """
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -136,8 +143,11 @@ class Seq:
     sound upper bounds, never underestimates.
 
     ``nonzero`` is the cached support, {j : coords[j] != 0} as an
-    ascending tuple of 0-based indices, in both modes.  It is not
-    compared, hashed or shown, and it travels with a pickled Seq.
+    ascending tuple of 0-based indices, in both modes.  ``frame`` is the
+    cached zero frame (z, marked) that the float kernels read: every
+    coordinate off the ascending 0-based indices marked is the float
+    zero z, bit for bit.  Neither cache is compared, hashed or shown,
+    and both travel with a pickled Seq.
     """
 
     coords: tuple
@@ -145,6 +155,8 @@ class Seq:
     tail_bound: Scalar = 0
     _nz: Optional[tuple] = field(default=None, init=False, repr=False,
                                  compare=False)
+    _frame: Optional[tuple] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         if self.tail_bound < 0:
@@ -158,6 +170,18 @@ class Seq:
             nz = tuple(compress(range(len(self.coords)), self.coords))
             object.__setattr__(self, "_nz", nz)
         return nz
+
+    @property
+    def frame(self) -> tuple:
+        """(z, marked): every coordinate whose 0-based index is not in the
+        ascending tuple marked is the float zero z, bit for bit.  A Seq
+        built from a dense tuple finds it once: z = +0.0, and marked
+        holds the support, the -0.0s and any coordinate not a float."""
+        fr = self._frame
+        if fr is None:
+            fr = 0.0, _marked(self.coords, self.nonzero)
+            object.__setattr__(self, "_frame", fr)
+        return fr
 
     def with_tail(self, tail_bound: Scalar) -> "Seq":
         """These coordinates with another tail bound; a cached support
@@ -179,8 +203,10 @@ class Seq:
         _check_lengths(self, other)
         tail = self.tail_bound + other.tail_bound
         if not (self.exact and other.exact):
-            return Seq(tuple(a + b for a, b in zip(self.coords, other.coords)),
-                       False, tail)
+            (zx, mx), (zy, my) = self.frame, other.frame
+            mine, theirs, cols = self.coords, other.coords, _union(mx, my)
+            return _float_seq(len(mine), zx + zy, cols,
+                              [mine[j] + theirs[j] for j in cols], tail)
         coords, theirs = list(self.coords), other.coords
         for j in other.nonzero:
             a = coords[j]
@@ -192,8 +218,10 @@ class Seq:
         _check_lengths(self, other)
         tail = self.tail_bound + other.tail_bound
         if not (self.exact and other.exact):
-            return Seq(tuple(a - b for a, b in zip(self.coords, other.coords)),
-                       False, tail)
+            (zx, mx), (zy, my) = self.frame, other.frame
+            mine, theirs, cols = self.coords, other.coords, _union(mx, my)
+            return _float_seq(len(mine), zx - zy, cols,
+                              [mine[j] - theirs[j] for j in cols], tail)
         coords, theirs = list(self.coords), other.coords
         for j in other.nonzero:
             coords[j] = coords[j] - theirs[j]
@@ -203,7 +231,9 @@ class Seq:
     def scale(self, a: Scalar) -> "Seq":
         tail = abs(a) * self.tail_bound
         if not (self.exact and isinstance(a, (Fraction, int))):
-            return Seq(tuple(a * v for v in self.coords), False, tail)
+            (z, marked), coords = self.frame, self.coords
+            return _float_seq(len(coords), a * z, marked,
+                              [a * coords[j] for j in marked], tail)
         coords, nz = list(self.coords), self.nonzero
         for j in nz:
             coords[j] = a * coords[j]
@@ -211,8 +241,10 @@ class Seq:
 
     def abs_coords(self) -> "Seq":
         if not self.exact:
-            return Seq(tuple(abs(v) for v in self.coords), False,
-                       self.tail_bound)
+            (z, marked), coords = self.frame, self.coords
+            return _float_seq(len(coords), abs(z), marked,
+                              [abs(coords[j]) for j in marked],
+                              self.tail_bound)
         coords, nz = list(self.coords), self.nonzero
         for j in nz:
             coords[j] = abs(coords[j])
@@ -257,15 +289,21 @@ class Seq:
         return _known_support(cls(tuple(coords), exact, zero), (j - 1,))
 
     def as_json(self) -> dict:
-        return {"coords": [scalar_to_json(v) for v in self.coords],
+        coords = self.coords  # scalar_to_json is the identity on floats
+        return {"coords": (list(coords) if _all_float(coords)
+                           else [scalar_to_json(v) for v in coords]),
                 "exact": self.exact,
                 "tail_bound": scalar_to_json(self.tail_bound)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Seq":
         exact = bool(obj.get("exact", False))
-        coords = tuple(v if type(v) is float and not exact
-                       else parse_scalar(v, exact) for v in obj["coords"])
+        raw = obj["coords"]
+        if not exact and _all_float(raw):
+            coords = tuple(raw)
+        else:
+            coords = tuple(v if type(v) is float and not exact
+                           else parse_scalar(v, exact) for v in raw)
         if not exact:  # JSON floats are kept as they are: one finiteness pass
             _check_finite_coords(coords)
         tail = parse_scalar(obj.get("tail_bound", 0), exact)
@@ -283,6 +321,52 @@ def _exact_seq(coords: list, tail: Scalar, nz: tuple) -> Seq:
     return _known_support(Seq(tuple(coords), True, tail), nz)
 
 
+def _all_float(values) -> bool:
+    """Whether every value's type is exactly float."""
+    return set(map(type, values)) <= {float}
+
+
+#: the bits of -0.0, read as an unsigned 64-bit integer
+_NEG_ZERO = array("Q", array("d", (-0.0,)).tobytes())[0]
+
+
+def _marked(coords: tuple, nz: tuple) -> tuple:
+    """The ascending indices of the coordinates that are not the float
+    +0.0 bit for bit, given the support nz: nz and the -0.0s when every
+    coordinate is a float (found on their bits), else every index whose
+    coordinate is nonzero, -0.0 or not a float."""
+    if not _all_float(coords):
+        return tuple(j for j, v in enumerate(coords) if type(v) is not float
+                     or v or math.copysign(1.0, v) < 0)
+    words = array("Q", array("d", coords).tobytes())
+    if _NEG_ZERO not in words:
+        return nz
+    return tuple(sorted([*nz, *(j for j, w in enumerate(words)
+                                if w == _NEG_ZERO)]))
+
+
+def _union(a: tuple, b: tuple) -> tuple:
+    """The ascending union of two ascending index tuples."""
+    return a if a == b else tuple(sorted(set(a).union(b)))
+
+
+def _float_seq(t: int, z: float, cols, vals: list, tail: Scalar) -> Seq:
+    """The float Seq of length t that is z off the ascending indices cols
+    and vals on them.  When z is a zero, its support and frame are
+    cached: the indices whose value is not z, bit for bit, are marked."""
+    coords = [z] * t
+    for j, v in zip(cols, vals):
+        coords[j] = v
+    out = Seq(tuple(coords), False, tail)
+    if z == 0:
+        sign = math.copysign(1.0, z)
+        object.__setattr__(out, "_nz", tuple(compress(cols, vals)))
+        object.__setattr__(out, "_frame", (z, tuple(
+            j for j, v in zip(cols, vals) if v or type(v) is not float
+            or math.copysign(1.0, v) != sign)))
+    return out
+
+
 def _union_support(coords: list, supports) -> tuple:
     """The support of coords, given supports whose union holds it: the
     union, re-tested for cancellations."""
@@ -294,8 +378,10 @@ def _check_lengths(x: Seq, y: Seq):
         raise LengthMismatch(f"lengths differ: {len(x)} vs {len(y)}")
 
 
-def _check_finite_coords(coords) -> None:
-    """Raise NonFiniteCoordinate on the first NaN or infinite coordinate."""
+def _check_finite_coords(coords: Sequence) -> None:
+    """Raise NonFiniteCoordinate on the first NaN or infinite coordinate.
+
+    coords is read twice, so it must be a sequence, not an iterator."""
     if not all(map(math.isfinite, coords)):
         for v in coords:
             check_finite(v)
@@ -307,9 +393,9 @@ def norm(x: Seq, space: AmbientSpace) -> Scalar:
     Exact for the sup norm and l1 on Fraction coordinates; general lp
     returns a float.  Raises NonFiniteCoordinate on NaN/inf input.
     """
-    if not x.exact:
-        _check_finite_coords(x.coords)
     coords, zero = x.coords, Fraction(0) if x.exact else 0.0
+    if not x.exact:  # NaN and +-inf are nonzero, so in the support
+        _check_finite_coords([coords[j] for j in x.nonzero])
     if space.is_sup:
         return max((abs(coords[j]) for j in x.nonzero), default=zero)
     if space.p == 1:
@@ -377,7 +463,8 @@ def combine(basis: Sequence[Seq], coeffs: Sequence[Scalar]) -> Seq:
     Each vector is read on its support, in both modes.  A float
     accumulator starts at +0.0 and round-to-nearest addition gives -0.0
     only from -0.0 + -0.0, so it never holds -0.0 and adding c * (+-0.0)
-    for a finite c keeps its bits.
+    for a finite c keeps its bits.  So a float result's frame is +0.0
+    off its support.
     """
     if len(basis) != len(coeffs):
         raise LengthMismatch(f"{len(basis)} vectors vs {len(coeffs)} coefficients")
@@ -400,7 +487,9 @@ def combine(basis: Sequence[Seq], coeffs: Sequence[Scalar]) -> Seq:
         tail += abs(c) * b.tail_bound
     if exact:
         return _exact_seq(acc, tail, _union_support(acc, supports))
-    return Seq(tuple(float(v) for v in acc), False, float(tail))
+    cols = sorted(set().union(*supports))
+    return _float_seq(t, 0.0, cols, [float(acc[j]) for j in cols],
+                      float(tail))
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +674,10 @@ def normalize(x: Seq, space: AmbientSpace) -> Seq:
         raise ZeroVector("cannot normalize a (numerically) zero vector")
     if x.exact and isinstance(nrm, Fraction):
         return x.scale(Fraction(1) / nrm)
-    coords = tuple(float(v) / float(nrm) for v in x.coords)
-    return Seq(coords, False, float(x.tail_bound) / float(nrm))
+    (z, marked), coords = x.frame, x.coords
+    return _float_seq(len(coords), float(z) / float(nrm), marked,
+                      [float(coords[j]) / float(nrm) for j in marked],
+                      float(x.tail_bound) / float(nrm))
 
 
 # ---------------------------------------------------------------------------

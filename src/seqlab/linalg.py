@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from typing import Optional, Sequence
 
 from .scalar import Scalar
@@ -138,7 +139,7 @@ def _rref_float(rows: list[list[float]], eta, tails: list) -> list[int]:
             rows[r] = [v / piv for v in rows[r]]
             tails[r] = tails[r] / inv_scale
         row_r = rows[r]
-        nonzero_cols = [j for j, w in enumerate(row_r) if w != 0 and j != c]
+        nonzero_cols = [j for j in compress(range(n_cols), row_r) if j != c]
         for i in range(n_rows):
             if i == r:
                 continue

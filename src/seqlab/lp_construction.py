@@ -383,7 +383,7 @@ def block_projection(blocks: Sequence[Seq], sigma: Sequence[tuple],
             if not (hi < other[0] or lo > other[1]):
                 raise OverlappingWindows(f"windows {window} and {other} overlap")
         covered.append(window)
-        leak = max((abs(v) for j, v in enumerate(gk.coords)
+        leak = max((abs(gk.coords[j]) for j in gk.nonzero
                     if not lo <= j + 1 <= hi), default=0)
         if leak > DEFAULT_ETA:
             raise OverlappingWindows(
@@ -476,18 +476,24 @@ def projection_onto_family(family: Sequence[Seq], block_p: ProjectionOp,
     Returns None when the small transfer matrix is numerically singular.
     """
     m = len(family)
-    matrix = []
-    for phi in block_p.functionals[:m]:
-        row = []
-        for fj in family:
-            row.append(sum(a * b for a, b in zip(phi.coords, fj.coords)))
-        matrix.append(row)
+    matrix = [[_dot(phi, fj) for fj in family]
+              for phi in block_p.functionals[:m]]
     inv = linalg.invert(matrix, DEFAULT_ETA)
     if inv is None:
         return None
     phis = block_p.functionals[:m]
     return ProjectionOp(tuple(combine(phis, row) for row in inv),
                         tuple(family), space)
+
+
+def _dot(x: Seq, y: Seq) -> Scalar:
+    """sum(a * b for a, b in zip(x.coords, y.coords)), read at index 0 and
+    on the union of the supports.  A skipped term is a product of two
+    zeros, and the running sum never holds -0.0, so skipping it changes
+    no value or bit.  The union keeps 0 * inf (NaN); index 0 starts the
+    sum as the full one does, rational in exact mode and 0.0 in float."""
+    a, b = x.coords, y.coords
+    return sum(a[j] * b[j] for j in sorted({0}.union(x.nonzero, y.nonzero)))
 
 
 def zero_recursion(f: Sequence[Seq], s: Sequence[int]):

@@ -37,7 +37,8 @@ _LO, _HI = 2.0 ** -1000, 2.0 ** 1000
 
 def _nonzeros(x: Seq) -> dict:
     """The nonzero coordinates of x as {0-based index: exact rational}."""
-    return {i: Fraction(v) for i, v in enumerate(x.coords) if v}
+    coords = x.coords
+    return {i: Fraction(coords[i]) for i in x.nonzero}
 
 
 def _norm(coords: dict, space: AmbientSpace) -> Scalar:

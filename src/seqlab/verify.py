@@ -32,8 +32,9 @@ recursions rerun the emitter's arithmetic on the stored vectors; the lp
 stages are lifted before their norms are taken, and so is Q for its
 exact Gram matrix and norm bounds.  Sup norms of stored doubles are
 exact as they are.  Exact arithmetic skips zero coordinates, so a lifted
-vector costs in proportion to its nonzeros; the float reruns take every
-coordinate, as the emitter did, to keep its signed zeros.
+vector costs in proportion to its nonzeros; the float reruns evaluate
+only the coordinates off each vector's zero frame (``core.Seq.frame``),
+which keeps the emitter's signed zeros bit for bit.
 """
 from __future__ import annotations
 

@@ -29,6 +29,7 @@ from seqlab.errors import (
     IndexOutOfRange,
     LengthMismatch,
     NonFiniteCoordinate,
+    ZeroVector,
 )
 from seqlab.lineability import geometric_generator
 from seqlab.linalg import residual_vector
@@ -701,3 +702,195 @@ def assert_support_and_dense(got: Seq, want: list, tail) -> None:
     else:
         assert [bits(v) for v in got.coords] == [bits(float(v)) for v in want]
         assert bits(float(got.tail_bound)) == bits(float(tail))
+
+
+# -- float kernels on the zero frame against their dense loops ---------------
+#
+# Verbatim copies of the float kernels as they were before they read the
+# zero frame: every coordinate, written in index order.
+
+def dense_add(x: Seq, y: Seq) -> Seq:
+    return Seq(tuple(a + b for a, b in zip(x.coords, y.coords)), False,
+               x.tail_bound + y.tail_bound)
+
+
+def dense_sub(x: Seq, y: Seq) -> Seq:
+    return Seq(tuple(a - b for a, b in zip(x.coords, y.coords)), False,
+               x.tail_bound + y.tail_bound)
+
+
+def dense_scale(x: Seq, a) -> Seq:
+    return Seq(tuple(a * v for v in x.coords), False, abs(a) * x.tail_bound)
+
+
+def dense_abs(x: Seq) -> Seq:
+    return Seq(tuple(abs(v) for v in x.coords), False, x.tail_bound)
+
+
+def dense_normalize(x: Seq, space: AmbientSpace) -> Seq:
+    nrm = norm(x, space)
+    if nrm <= zero_tol(x.exact):
+        raise ZeroVector("cannot normalize a (numerically) zero vector")
+    coords = tuple(float(v) / float(nrm) for v in x.coords)
+    return Seq(coords, False, float(x.tail_bound) / float(nrm))
+
+
+def dense_combine(basis, coeffs) -> Seq:
+    """Float combine's output: the accumulators, each written as float."""
+    acc, tail = [0.0] * len(basis[0]), 0.0
+    for c, b in zip(coeffs, basis):
+        if c == 0:
+            continue
+        for j in b.nonzero:
+            acc[j] += c * b.coords[j]
+        tail += abs(c) * b.tail_bound
+    return Seq(tuple(float(v) for v in acc), False, float(tail))
+
+
+def frame_off(coords, z) -> tuple:
+    """The indices whose coordinate is not the float z, bit for bit."""
+    return tuple(j for j, v in enumerate(coords)
+                 if type(v) is not float or bits(v) != bits(z))
+
+
+def assert_same_bits(got: Seq, want: Seq) -> None:
+    """Equal coordinates (bits and types), tail bound, caches and JSON; the
+    cached support and frame are those a fresh copy finds."""
+    assert got.exact == want.exact
+    assert [type(v) for v in got.coords] == [type(v) for v in want.coords]
+    assert [bits(float(v)) for v in got.coords] == [
+        bits(float(v)) for v in want.coords]
+    assert type(got.tail_bound) is type(want.tail_bound)
+    assert bits(float(got.tail_bound)) == bits(float(want.tail_bound))
+    assert json.dumps(got.as_json()) == json.dumps(
+        {"coords": [scalar_to_json(v) for v in want.coords],
+         "exact": want.exact, "tail_bound": scalar_to_json(want.tail_bound)})
+    fresh = Seq(got.coords, got.exact, got.tail_bound)
+    if got._nz is not None:
+        assert got._nz == fresh.nonzero
+    if got._frame is not None:
+        z, marked = got._frame
+        assert type(z) is float and z == 0
+        assert marked == frame_off(got.coords, z)
+    assert fresh.frame == (0.0, frame_off(got.coords, 0.0))
+
+
+# floats with many signed zeros, a few exact zeros and rationals among them
+frame_coord = st.one_of(float_coord, float_coord, float_coord,
+                        st.sampled_from([Fraction(0), 0, Fraction(1, 3)]))
+frame_scalar = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, -2.5, 1e-300, -1e300, 5e-324]),
+    st.floats(-8, 8), st.integers(-3, 3), rational)
+
+
+class TestZeroFrame:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_chains_equal_dense_loops(self, data):
+        n = data.draw(st.integers(1, 12))
+        mostly_zero = st.one_of(st.sampled_from([0.0, -0.0]),
+                                st.sampled_from([0.0, -0.0]), frame_coord)
+
+        def vector():
+            entries = data.draw(st.sampled_from([frame_coord, mostly_zero]))
+            coords = data.draw(st.lists(entries, min_size=n, max_size=n))
+            return Seq(tuple(coords), False, data.draw(st.floats(0, 4)))
+
+        pool = [vector(), vector(), Seq.zero(n, False)]
+        for _ in range(data.draw(st.integers(1, 8))):
+            op = data.draw(st.sampled_from(
+                ["add", "sub", "x-x", "scale", "abs", "normalize", "combine",
+                 "pickle"]))
+            x, y = data.draw(st.sampled_from(pool)), data.draw(
+                st.sampled_from(pool))
+            if op == "add":
+                got, want = x.add(y), dense_add(x, y)
+            elif op in ("sub", "x-x"):
+                y = x if op == "x-x" else y
+                got, want = x.sub(y), dense_sub(x, y)
+            elif op == "scale":
+                a = data.draw(frame_scalar)
+                got, want = x.scale(a), dense_scale(x, a)
+            elif op == "abs":
+                got, want = x.abs_coords(), dense_abs(x)
+            elif op == "normalize":
+                space = data.draw(st.sampled_from([L1, L2, LINF]))
+                try:
+                    want = dense_normalize(x, space)
+                except (ZeroVector, OverflowError, NonFiniteCoordinate) as exc:
+                    with pytest.raises(type(exc)):
+                        normalize(x, space)
+                    continue
+                got = normalize(x, space)
+            elif op == "combine":
+                basis = [x, y]
+                coeffs = [data.draw(frame_scalar), data.draw(frame_scalar)]
+                assume(all(math.isfinite(c) for c in coeffs))
+                got, want = combine(basis, coeffs), dense_combine(basis, coeffs)
+                assume(not got.exact)
+                assert got._frame == (0.0, got.nonzero)
+            else:  # as the --jobs pool sends it
+                got = pickle.loads(pickle.dumps(x))
+                assert got._nz == x._nz and got._frame == x._frame
+                want = x
+            assert_same_bits(got, want)
+            pool.append(got)
+
+    def test_signed_zero_frames(self):
+        u = Seq((0.0, -0.0, 0.0, -0.0, 2.0), False, 0.0)
+        v = Seq((-0.0, -0.0, 0.0, 0.0, 0.0), False, 0.0)
+        assert u.frame == (0.0, (1, 3, 4)) and v.frame == (0.0, (0, 1))
+        neg = u.scale(-1.0)  # every zero of u flips
+        assert neg.frame == (-0.0, (1, 3, 4))
+        assert [bits(c) for c in neg.coords] == [
+            bits(-0.0), bits(0.0), bits(-0.0), bits(0.0), bits(-2.0)]
+        diff = neg.sub(v.abs_coords())  # -0.0 - +0.0 is -0.0
+        assert bits(diff.frame[0]) == bits(-0.0)
+        assert_same_bits(diff, dense_sub(neg, dense_abs(v)))
+        assert v.sub(v).frame == (0.0, ())
+        assert_same_bits(neg.add(neg), dense_add(neg, neg))
+
+    def test_infinite_scale_caches_nothing(self):
+        x = Seq((0.0, -0.0, 1.5, 0.0, -2.0), False, 0.25)
+        got = x.scale(math.inf)
+        want = dense_scale(x, math.inf)
+        assert got._nz is None and got._frame is None
+        assert [bits(v) for v in got.coords] == [bits(v) for v in want.coords]
+        assert [math.isnan(v) for v in got.coords] == [
+            True, True, False, True, False]
+        assert got.nonzero == (0, 1, 2, 3, 4)
+        assert got.frame == (0.0, (0, 1, 2, 3, 4))
+        for space in (L1, L2, LINF):
+            with pytest.raises(NonFiniteCoordinate):
+                norm(got, space)
+        with pytest.raises(NonFiniteCoordinate):
+            norm(pickle.loads(pickle.dumps(got)), L2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("space", [L1, L2, LINF])
+    def test_norm_rejects_non_finite_last_coordinate(self, bad, space):
+        last = Seq((0.0,) * 1999 + (bad,), False, 0.0)
+        with pytest.raises(NonFiniteCoordinate):
+            norm(last, space)
+        with pytest.raises(NonFiniteCoordinate):
+            norm(last.scale(2.0), space)
+        signed = Seq((-0.0,) * 1000 + (bad,) + (-0.0,) * 999, False, 0.0)
+        with pytest.raises(NonFiniteCoordinate):
+            norm(signed, space)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_from_json_rejects_non_finite_last_coordinate(self, text):
+        obj = json.loads('{"coords": [' + "0.0, -0.0, " * 999 + text +
+                         '], "exact": false, "tail_bound": 0.0}')
+        with pytest.raises(NonFiniteCoordinate):
+            Seq.from_json(obj)
+
+    def test_json_round_trip_keeps_signed_zeros(self):
+        x = Seq((0.0, -0.0, 5e-324, -0.0, 1e300), False, 0.5)
+        doc = json.loads(json.dumps(x.as_json()))
+        back = Seq.from_json(doc)
+        assert [bits(v) for v in back.coords] == [bits(v) for v in x.coords]
+        assert back.frame == (0.0, (1, 2, 3, 4))
+        mixed = Seq((0.0, Fraction(0), -0.0), False, 0.0)
+        assert mixed.as_json()["coords"] == [0.0, "0/1", -0.0]
+        assert mixed.frame == (0.0, (1, 2))

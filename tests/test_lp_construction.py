@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from seqlab.errors import (
     UnnormalizedBlock,
 )
 from seqlab.lp_construction import (
+    _dot,
     basis_constant_lower_bound,
     block_projection,
     construct_dominant_sequence,
@@ -174,6 +176,31 @@ class TestBlockProjection:
                               Seq.unit(3, 4, False)], [(1, 1), (3, 3)], 2)
         with pytest.raises(UnnormalizedBlock):
             block_projection([Seq((0.5, 0.0), False, 0.0)], [(1, 1)], 2)
+
+    @given(data=st.data(), exact=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_transfer_dot_equals_dense_sum(self, data, exact):
+        """The transfer matrix entry, read on the supports, is the sum
+        over every coordinate: same value, type and float bits."""
+        n = data.draw(st.integers(1, 8))
+        entry = (st.sampled_from([Fraction(0), Fraction(0), Fraction(-2, 3),
+                                  Fraction(5)]) if exact
+                 else st.sampled_from([0.0, -0.0, -0.0, 1.5, -1e-300, 1e300,
+                                       5e-324, math.inf, -math.inf]))
+
+        def vector():
+            coords = data.draw(st.lists(entry, min_size=n, max_size=n))
+            return Seq(tuple(coords), exact, 0)
+
+        x, y = vector(), vector()
+        want = sum(a * b for a, b in zip(x.coords, y.coords))
+        got = _dot(x, y)
+        assert type(got) is type(want)
+        if exact:
+            assert got == want
+        else:
+            assert struct.pack("<d", got) == struct.pack("<d", want) or (
+                math.isnan(got) and math.isnan(want))
 
     def test_p1_sign_functional(self):
         g = [Seq((Fraction(-1, 2), Fraction(1, 2)), True, Fraction(0))]
