@@ -36,6 +36,11 @@ patched.  So they keep every signed zero and float bit while costing in
 proportion to the nonzeros.  A result whose zero is not a zero (inf *
 0.0 is NaN) caches nothing and finds its caches when first asked.
 
+Exact coordinates cross JSON once per distinct value: ``Seq.from_json``
+and dense fixture generators parse each distinct "num/den" string once
+(``scalar.parse_scalars``), and ``Seq.as_json`` writes an exact vector
+as "0/1" off its support, converting only the nonzeros.
+
 All values are immutable after construction, except that a Seq fills
 its private caches ``_nz`` and ``_frame`` on first use; those writes
 are idempotent, giving the same tuple whichever thread makes them.
@@ -65,6 +70,7 @@ from .scalar import (
     Scalar,
     check_finite,
     parse_scalar,
+    parse_scalars,
     scalar_to_json,
     zero_tol,
 )
@@ -289,21 +295,30 @@ class Seq:
         return _known_support(cls(tuple(coords), exact, zero), (j - 1,))
 
     def as_json(self) -> dict:
-        coords = self.coords  # scalar_to_json is the identity on floats
-        return {"coords": (list(coords) if _all_float(coords)
-                           else [scalar_to_json(v) for v in coords]),
-                "exact": self.exact,
+        coords = self.coords
+        kinds = set(map(type, coords))
+        if kinds <= {float}:  # scalar_to_json is the identity on floats
+            out = list(coords)
+        elif kinds <= {Fraction, int}:  # every zero of these is "0/1"
+            out = ["0/1"] * len(coords)
+            for j in self.nonzero:
+                out[j] = scalar_to_json(coords[j])
+        else:
+            out = [scalar_to_json(v) for v in coords]
+        return {"coords": out, "exact": self.exact,
                 "tail_bound": scalar_to_json(self.tail_bound)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Seq":
         exact = bool(obj.get("exact", False))
         raw = obj["coords"]
-        if not exact and _all_float(raw):
+        if exact:
+            coords = tuple(parse_scalars(raw, True))
+        elif _all_float(raw):
             coords = tuple(raw)
         else:
-            coords = tuple(v if type(v) is float and not exact
-                           else parse_scalar(v, exact) for v in raw)
+            coords = tuple(v if type(v) is float else parse_scalar(v, False)
+                           for v in raw)
         if not exact:  # JSON floats are kept as they are: one finiteness pass
             _check_finite_coords(coords)
         tail = parse_scalar(obj.get("tail_bound", 0), exact)
@@ -734,7 +749,7 @@ def _generator_from_json(spec: dict, t: int, exact: bool,
             raise ConfigError("dense generator requires 'coords' list")
         if len(coords) > t:
             raise ConfigError(f"dense generator longer than truncation {t}")
-        vals = [parse_scalar(v, exact) for v in coords]
+        vals = parse_scalars(coords, exact)
         pad = Fraction(0) if exact else 0.0
         vals.extend([pad] * (t - len(vals)))
         return Seq(tuple(vals), exact, pad)

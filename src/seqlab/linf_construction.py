@@ -503,7 +503,9 @@ def _net_functionals(rows: Sequence[list], cols: Sequence[int], exact: bool,
     Each point is evaluated on a positive multiple of its combination, so
     exact mode stays on integers: q e_i + m e_d, and k for k/8.  Float
     mode keeps the float coefficients, so every row has scan_combine's
-    bits for them.
+    bits for them.  The pair rows are built from precomputed parts, the
+    leading row_i term once per i and m row_d once per m, with
+    scan_combine's operations in its order, so the bits do not change.
     """
     d = len(rows)
     one = 1 if exact else 1.0
@@ -513,10 +515,14 @@ def _net_functionals(rows: Sequence[list], cols: Sequence[int], exact: bool,
         yield None if point is None else (point[0], -point[1])
     q = NET_RESOLUTION.denominator
     ticks = [m for m in range(-q, q + 1) if m]
+    lead = q if exact else 1.0
+    steps = [[c * v for v in rows[-1]] for c in
+             (ticks if exact else [m * float(NET_RESOLUTION) for m in ticks])]
     for row in rows[:-1]:
-        for m in ticks:
-            coeffs = [q, m] if exact else [1.0, m * float(NET_RESOLUTION)]
-            yield _first_max(scan_combine([row, rows[-1]], coeffs), cols)
+        zero = 0.0 if isinstance(row[0], float) else 0  # scan_combine's start
+        head = [zero + lead * v for v in row]
+        for step in steps:
+            yield _first_max([a + b for a, b in zip(head, step)], cols)
     extras = 8 if d > 1 else 0
     for _ in range(extras):
         coeffs = [one * (rng.randint(0, 1) * 2 - 1) for _ in range(d)]

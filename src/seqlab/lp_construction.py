@@ -647,16 +647,19 @@ def basis_constant_lower_bound(family: Sequence[Seq], space: AmbientSpace,
         return [norm(v, space) for v in prefixes]
 
     def best_ratio(coeffs) -> Scalar:
-        norms = prefix_norms(coeffs)
-        best = Fraction(0) if exact else 0.0
-        for hi in range(m):
-            if norms[hi] == 0:
+        """max over lo <= hi of norms[lo] / norms[hi], as the running max
+        of the norms over each nonzero norms[hi]: dividing by a positive
+        number is monotone, rounded to nearest too, so the value (and its
+        float bits) is that of the best pair."""
+        best = top = Fraction(0) if exact else 0.0
+        for v in prefix_norms(coeffs):
+            if v > top:
+                top = v
+            if v == 0:
                 continue
-            for lo in range(hi + 1):
-                r = (Fraction(norms[lo], norms[hi]) if exact
-                     else norms[lo] / norms[hi])
-                if r > best:
-                    best = r
+            r = Fraction(top, v) if exact else top / v
+            if r > best:
+                best = r
         return best
 
     one = Fraction(1) if exact else 1.0

@@ -58,6 +58,27 @@ def parse_scalar(value, exact: bool) -> Scalar:
     raise ConfigError(f"cannot parse scalar {value!r}")
 
 
+def parse_scalars(values, exact: bool) -> list:
+    """``[parse_scalar(v, exact) for v in values]``, parsing each distinct
+    string once: repeats share the first one's (immutable) result.
+
+    Only str values are looked up, since 1, 1.0 and True hash equal and
+    True must still be refused.  Values are parsed in order, so an error
+    names the first bad one.
+    """
+    parsed: dict = {}
+    out = []
+    for v in values:
+        if type(v) is str:
+            x = parsed.get(v)
+            if x is None:
+                x = parsed[v] = parse_scalar(v, exact)
+        else:
+            x = parse_scalar(v, exact)
+        out.append(x)
+    return out
+
+
 def scalar_to_json(value: Scalar):
     """Serialize a scalar: Fractions as "num/den", floats as numbers."""
     if type(value) is float:  # the common case, before any ABC isinstance

@@ -33,7 +33,12 @@ from seqlab.errors import (
 )
 from seqlab.lineability import geometric_generator
 from seqlab.linalg import residual_vector
-from seqlab.scalar import scalar_to_json, zero_tol
+from seqlab.scalar import (
+    parse_scalar,
+    parse_scalars,
+    scalar_to_json,
+    zero_tol,
+)
 from conftest import unit_subspace
 
 L1 = AmbientSpace.lp(1)
@@ -894,3 +899,119 @@ class TestZeroFrame:
         mixed = Seq((0.0, Fraction(0), -0.0), False, 0.0)
         assert mixed.as_json()["coords"] == [0.0, "0/1", -0.0]
         assert mixed.frame == (0.0, (1, 2))
+
+
+# -- exact JSON: one parse per distinct string, zeros written as "0/1" -------
+
+json_scalar = st.one_of(
+    st.sampled_from(["0/1", "1/2", "-3/4", "0.25", "-1.5", "7", "0", "1e-3",
+                     "2/6"]),
+    st.integers(-5, 5),
+    st.floats(-4, 4, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 0.1]))
+
+
+def per_coordinate_json(x: Seq) -> list:
+    """Seq.as_json's coordinates as one scalar_to_json per coordinate."""
+    return [scalar_to_json(v) for v in x.coords]
+
+
+class TestJsonOnce:
+    @given(values=st.lists(json_scalar, max_size=30), exact=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_parse_scalars_equals_parse_scalar(self, values, exact):
+        got = parse_scalars(values, exact)
+        want = [parse_scalar(v, exact) for v in values]
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert [bits(v) if isinstance(v, float) else v for v in got] == \
+            [bits(v) if isinstance(v, float) else v for v in want]
+
+    def test_decimal_strings_are_read_as_decimals(self):
+        assert parse_scalars(["0.25", "0.25", 1, 0.5], True) == \
+            [Fraction(1, 4), Fraction(1, 4), Fraction(1), Fraction(1, 2)]
+        assert parse_scalars(["0.1", "0.1"], False) == [0.1, 0.1]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_errors_name_the_first_bad_value(self, exact):
+        with pytest.raises(ConfigError) as want:
+            parse_scalar("x", exact)
+        with pytest.raises(ConfigError) as got:
+            parse_scalars(["1/2", "x", "1/0"], exact)
+        assert str(got.value) == str(want.value)
+        assert "'x'" in str(got.value)
+        for values in (["1", True], [1, True], [1.0, True], [True, "1"]):
+            with pytest.raises(ConfigError, match="boolean"):
+                parse_scalars(values, exact)
+
+    @pytest.mark.parametrize("coords", [
+        (0, 0, 3, 0, -2),
+        (Fraction(0), Fraction(5, 3), Fraction(0), Fraction(-1, 2 ** 40)),
+        (0, Fraction(0), Fraction(1, 2), 7, Fraction(0), 0),
+        (0, 0, 0),
+        (),
+    ])
+    def test_exact_as_json_equals_per_coordinate(self, coords):
+        x = Seq(coords, True, Fraction(1, 3))
+        doc = x.as_json()
+        assert doc["coords"] == per_coordinate_json(x)
+        back = Seq.from_json(json.loads(json.dumps(doc)))
+        assert back == x and back.as_json() == doc
+
+    @pytest.mark.parametrize("coords", [
+        (Fraction(0), 0.0, -0.0, Fraction(1, 2)),
+        (0, -0.0, 0),
+        (False, Fraction(1), 0),
+        (True, 0, Fraction(0)),
+    ])
+    def test_other_mixes_convert_every_coordinate(self, coords):
+        x = Seq(coords, True, 0)
+        assert x.as_json()["coords"] == per_coordinate_json(x)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_exact_round_trip(self, data):
+        t = data.draw(st.integers(0, 40))
+        entry = st.one_of(st.just(Fraction(0)), st.just(0), rational,
+                          st.integers(-3, 3))
+        x = Seq(tuple(data.draw(st.lists(entry, min_size=t, max_size=t))),
+                True, data.draw(st.sampled_from([0, Fraction(0),
+                                                 Fraction(3, 8)])))
+        doc = json.loads(json.dumps(x.as_json()))
+        assert doc["coords"] == per_coordinate_json(x)
+        back = Seq.from_json(doc)
+        assert back == x
+        assert all(type(v) is Fraction for v in back.coords)
+        assert back.nonzero == x.nonzero
+
+    def test_from_json_parses_each_distinct_string_once(self, monkeypatch):
+        # a count, not a time: per-coordinate parsing would make 2001 calls
+        import seqlab.core
+        import seqlab.scalar
+        calls = []
+
+        def counted(value, exact):
+            calls.append(value)
+            return parse_scalar(value, exact)
+
+        monkeypatch.setattr(seqlab.scalar, "parse_scalar", counted)
+        monkeypatch.setattr(seqlab.core, "parse_scalar", counted)
+        coords = ["0/1"] * 2000
+        coords[7], coords[1500] = "1/2", "-3/1"
+        x = Seq.from_json({"coords": coords, "exact": True,
+                           "tail_bound": "0/1"})
+        assert len(calls) <= 4
+        assert x.nonzero == (7, 1500)
+        assert x.coords[7] == Fraction(1, 2) and x.coords[1500] == -3
+
+    def test_dense_generators_keep_values_and_errors(self):
+        sub = subspace_from_json({
+            "space": {"kind": "linf"}, "truncation": 6,
+            "generators": [{"kind": "dense",
+                            "coords": ["0/1", "1/2", "0/1", 1, "0.25"]}]})
+        g = sub.generators[0]
+        assert g.coords == (0, Fraction(1, 2), 0, 1, Fraction(1, 4), 0)
+        assert all(type(v) is Fraction for v in g.coords)
+        with pytest.raises(ConfigError, match="'y'"):
+            subspace_from_json({
+                "space": {"kind": "linf"}, "truncation": 3,
+                "generators": [{"kind": "dense", "coords": ["1", "y", "z"]}]})

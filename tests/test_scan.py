@@ -4,7 +4,9 @@ Exact mode must give the same argmax, sign, prefix sups and ratios as
 the Fraction arithmetic; float mode must give the same bits.  Scans run
 on the family's nonzero columns only, so the families include all-zero
 ones and columns holding only +-0.0.  The Mazur net, evaluated from its
-point structure, must give the functionals of the dense net it replaced.
+point structure, must give the functionals of the dense net it replaced;
+its precomputed pair rows and the running-max basis-constant ratio must
+give the rows and values of verbatim copies of the code they replaced.
 """
 import math
 import random
@@ -25,7 +27,9 @@ from seqlab.core import (
 )
 from seqlab.errors import ConfigError, WitnessViolation
 from seqlab.lineability import geometric_generator
+from seqlab import linf_construction
 from seqlab.linf_construction import (
+    NET_RESOLUTION,
     _ascend_ratio,
     _net_functionals,
     sample_basis_inequality,
@@ -457,3 +461,188 @@ def test_witness_rejects_mixed_modes():
     with pytest.raises(ConfigError):
         witness_from_parts(exact + floats, [1, 2, 3, 4, 5], "sup_zeroing",
                            LINF)
+
+
+# -- the precomputed net pairs and the O(m) best_ratio -----------------------
+#
+# Verbatim copies of the Mazur net's scan_combine pair loop and of the
+# O(m^2) best_ratio, as they were before the pair rows were precomputed and
+# the ratio became a running max.  The new code must give the same points
+# (the same rows, to the bit) and the same value.
+
+def old_net_functionals(rows, cols, exact, rng):
+    d = len(rows)
+    one = 1 if exact else 1.0
+    for row in rows:  # -e_i has e_i's first maximum, with the sign flipped
+        point = linf_construction._first_max(row, cols)
+        yield point
+        yield None if point is None else (point[0], -point[1])
+    q = NET_RESOLUTION.denominator
+    ticks = [m for m in range(-q, q + 1) if m]
+    for row in rows[:-1]:
+        for m in ticks:
+            coeffs = [q, m] if exact else [1.0, m * float(NET_RESOLUTION)]
+            yield linf_construction._first_max(
+                scan_combine([row, rows[-1]], coeffs), cols)
+    extras = 8 if d > 1 else 0
+    for _ in range(extras):
+        coeffs = [one * (rng.randint(0, 1) * 2 - 1) for _ in range(d)]
+        yield linf_construction._first_max(scan_combine(rows, coeffs), cols)
+    for _ in range(extras):
+        coeffs = [rng.randint(-8, 8) if exact else rng.uniform(-1.0, 1.0)
+                  for _ in range(d)]
+        if any(coeffs):
+            yield linf_construction._first_max(scan_combine(rows, coeffs),
+                                               cols)
+
+
+def old_basis_constant_lower_bound(family, space, trials=200, seed=0):
+    if not family:
+        raise ConfigError("basis_constant_lower_bound needs a nonempty family")
+    m = len(family)
+    exact = all(f.exact for f in family)
+    rng = random.Random(seed)
+    rows = scan_rows(family)[0] if space.is_sup else None
+
+    def prefix_norms(coeffs) -> list:
+        if space.is_sup:
+            return scan_prefix_sups(rows, coeffs)
+        prefixes = []
+        acc = None
+        for k in range(m):
+            term = family[k].scale(coeffs[k])
+            acc = term if acc is None else acc.add(term)
+            prefixes.append(acc)
+        return [norm(v, space) for v in prefixes]
+
+    def best_ratio(coeffs):
+        norms = prefix_norms(coeffs)
+        best = Fraction(0) if exact else 0.0
+        for hi in range(m):
+            if norms[hi] == 0:
+                continue
+            for lo in range(hi + 1):
+                r = (Fraction(norms[lo], norms[hi]) if exact
+                     else norms[lo] / norms[hi])
+                if r > best:
+                    best = r
+        return best
+
+    one = Fraction(1) if exact else 1.0
+    zero = Fraction(0) if exact else 0.0
+    candidates = []
+    for k in range(m):
+        pattern = [zero] * m
+        pattern[k] = one
+        candidates.append(pattern)
+    candidates.append([one if k % 2 == 0 else -one for k in range(m)])
+    candidates.append([one] * m)
+    for _ in range(max(0, trials - len(candidates))):
+        if exact:
+            candidates.append([Fraction(rng.randint(-16, 16), 16) for _ in range(m)])
+        else:
+            candidates.append([rng.uniform(-1.0, 1.0) for _ in range(m)])
+
+    best = zero
+    best_c = candidates[0]
+    for c in candidates:
+        if all(v == 0 for v in c):
+            continue
+        r = best_ratio(c)
+        if r > best:
+            best, best_c = r, list(c)
+    steps = (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 4), Fraction(-1, 4)) \
+        if exact else (0.5, -0.5, 0.25, -0.25)
+    for _ in range(2):
+        improved = False
+        for k in range(m):
+            for st in steps:
+                cand = list(best_c)
+                cand[k] = cand[k] + st
+                if all(v == 0 for v in cand):
+                    continue
+                r = best_ratio(cand)
+                if r > best:
+                    best, best_c = r, cand
+                    improved = True
+        if not improved:
+            break
+    return best
+
+
+def recorded_net(net, rows, cols, exact, seed):
+    """(functionals, rows as bits, rng state after) of one net: every row
+    handed to _first_max is recorded."""
+    seen = []
+    first_max = linf_construction._first_max
+
+    def record(y, cols):
+        seen.append([v.hex() if isinstance(v, float) else v for v in y])
+        return first_max(y, cols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linf_construction, "_first_max", record)
+        rng = random.Random(seed)
+        points = list(net(rows, cols, exact, rng))
+    return points, seen, rng.getstate()
+
+
+ZERO_ROWS = [
+    [Seq((0.0, -0.0, 0.0), False, 0.0), Seq((-0.0, -0.0, -0.0), False, 0.0)],
+    [Seq((Fraction(0),) * 4, True, Fraction(0))] * 2,
+    [Seq((0.5, -0.0, 0.25), False, 0.0), Seq((-0.0, 0.0, -0.0), False, 0.0)],
+]
+ONE_VECTOR = [[Seq((0.0, -0.5, 0.25), False, 0.0)],
+              [Seq((Fraction(0), Fraction(3, 7)), True, Fraction(0))],
+              [Seq((0.0, -0.0), False, 0.0)]]
+
+
+class TestPrecomputedNetAndRatio:
+    @settings(max_examples=150, deadline=None)
+    @given(any_family, st.integers(0, 10 ** 6))
+    def test_net_yields_the_scan_combine_points(self, fam, seed):
+        self.check_net(fam, seed)
+
+    @pytest.mark.parametrize("fam", ZERO_ROWS + ONE_VECTOR)
+    def test_net_on_zero_rows_and_one_vector(self, fam):
+        for seed in range(3):
+            self.check_net(fam, seed)
+
+    def check_net(self, fam, seed):
+        rows, _, cols = scan_rows(fam)
+        exact = fam[0].exact
+        assert recorded_net(_net_functionals, rows, cols, exact, seed) == \
+            recorded_net(old_net_functionals, rows, cols, exact, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(any_family, st.integers(0, 1000))
+    def test_ratio_under_the_sup_norm(self, fam, seed):
+        got = basis_constant_lower_bound(fam, LINF, trials=12, seed=seed)
+        want = old_basis_constant_lower_bound(fam, LINF, trials=12, seed=seed)
+        assert same(got, want) and type(got) is type(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(with_zero_columns(st.one_of(exact_families, float_families)),
+           st.integers(0, 1000))
+    def test_ratio_under_l1(self, fam, seed):
+        l1 = AmbientSpace.lp(1)
+        got = basis_constant_lower_bound(fam, l1, trials=12, seed=seed)
+        want = old_basis_constant_lower_bound(fam, l1, trials=12, seed=seed)
+        assert same(got, want) and type(got) is type(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(with_zero_columns(float_families), st.integers(0, 1000),
+           st.sampled_from([Fraction(3, 2), 2, 3]))
+    def test_ratio_under_lp_floats(self, fam, seed, p):
+        space = AmbientSpace.lp(p)
+        got = basis_constant_lower_bound(fam, space, trials=12, seed=seed)
+        want = old_basis_constant_lower_bound(fam, space, trials=12,
+                                              seed=seed)
+        assert same(got, want)
+
+    @pytest.mark.parametrize("fam", ZERO_ROWS + ONE_VECTOR)
+    @pytest.mark.parametrize("space", [LINF, AmbientSpace.lp(1)])
+    def test_ratio_on_zero_rows_and_one_vector(self, fam, space):
+        got = basis_constant_lower_bound(fam, space, trials=12, seed=5)
+        want = old_basis_constant_lower_bound(fam, space, trials=12, seed=5)
+        assert same(got, want) and type(got) is type(want)
