@@ -56,18 +56,25 @@ class Check:
 
 
 def evaluate(lhs: Scalar, rel: str, rhs: Scalar, tol: Scalar) -> bool:
+    """The check's relation on these values.
+
+    rhs + tol and rhs - tol compare as rhs when tol is an int or Fraction
+    zero, or a float zero beside a float rhs, so those skip the sum; an
+    int or Fraction rhs plus 0.0 is rounded to a float, so it keeps it.
+    """
+    bare = not tol and (not isinstance(tol, float) or isinstance(rhs, float))
     if rel == "lt":
-        return lhs < rhs + tol
+        return lhs < (rhs if bare else rhs + tol)
     if rel == "le":
-        return lhs <= rhs + tol
+        return lhs <= (rhs if bare else rhs + tol)
     if rel == "abs_le":
-        return abs(lhs) <= rhs + tol
+        return abs(lhs) <= (rhs if bare else rhs + tol)
     if rel == "abs_gt":
         return abs(lhs) > rhs
     if rel == "eq":
         return abs(lhs - rhs) <= tol
     if rel == "ge":
-        return lhs >= rhs - tol
+        return lhs >= (rhs if bare else rhs - tol)
     raise MalformedCertificate(f"unknown check relation {rel!r}")
 
 

@@ -529,15 +529,23 @@ def scan_rows(family: Sequence[Seq]) -> tuple[list, int, list]:
     see one zero.
 
     Exact mode: integer numerators over one common denominator, so that
-    ``family[i].at(cols[p] + 1) == rows[i][p] / D``.  Float mode: the
+    ``family[i].at(cols[p] + 1) == rows[i][p] / D``; a row is built from
+    its vector's support, so it costs its nonzeros.  Float mode: the
     coordinates unchanged, with D = 1.  Tail bounds are not carried.
     """
     cols = sorted(set().union(*(f.nonzero for f in family))) or [0]
     if not all(f.exact for f in family):
         return [[f.coords[j] for j in cols] for f in family], 1, cols
-    denom = math.lcm(*(f.coords[j].denominator for f in family for j in cols))
-    rows = [[(v := f.coords[j]).numerator * (denom // v.denominator)
-             for j in cols] for f in family]
+    denom = math.lcm(*(f.coords[j].denominator for f in family
+                       for j in f.nonzero))
+    at = {j: p for p, j in enumerate(cols)}
+    rows = []
+    for f in family:
+        row = [0] * len(cols)
+        for j in f.nonzero:
+            v = f.coords[j]
+            row[at[j]] = v.numerator * (denom // v.denominator)
+        rows.append(row)
     return rows, denom, cols
 
 

@@ -18,7 +18,11 @@ Scans that read one number from each combination and drop it (the net,
 the ratio ascent, the sampled basis inequality) run on the family's
 nonzero columns, in exact mode on integer numerators over one common
 denominator (``core.scan_rows``); only the vectors a construction keeps
-become Fractions.  The net's points are evaluated from their structure:
+become Fractions.  Each Mazur step's search reads one such scan frame of
+its working subspace, with each row's sup, and compares ratios on
+integer cross products; every ratio ascent of the step reads that frame,
+and rejects most candidates from two of their entries, before building
+them.  The net's points are evaluated from their structure:
 an axis point is a signed scan row, a pair point combines two rows.  The
 sampled basis-inequality margins stay integer numerators over one
 denominator per prefix pair, and become one Fraction per pair at the
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -65,6 +70,10 @@ NET_RESOLUTION = Fraction(1, 4)
 CASCADE_PAD = 2
 #: Mazur steps built beyond the two per cascade level
 MAZUR_PAD = 6
+#: coordinate passes of the Mazur ratio ascent after its pair phase
+_ASCENT_PASSES = 2
+#: the ascent's grid steps n, each adding (n/4) w_i
+_TICKS = (-4, -3, -2, -1, 1, 2, 3, 4)
 #: the sup norm, which linf and c0 share
 _SUP = AmbientSpace.linf()
 
@@ -330,58 +339,90 @@ def _impose_zeros(w_basis: Sequence[Seq], coords: Sequence[int]) -> tuple:
                  for b in basis)
 
 
-def _scan_ratio(y: list, p: Optional[int], exact: bool) -> Scalar:
-    """|f(s)| / |f|_inf read off a scan row y of f (any positive multiple),
-    with s at row position p; p is None when s is a dropped column."""
-    sup = max(map(abs, y))
-    if sup == 0 or p is None:
-        return Fraction(0) if exact else 0.0
-    return Fraction(abs(y[p]), sup) if exact else abs(y[p]) / sup
+def _scan_frame(w_basis: Sequence[Seq]) -> tuple:
+    """``scan_rows(w_basis)`` plus each row's sup: (rows, D, cols, sups),
+    sups[i] = max |rows[i]|, which is D |w_basis[i]|_inf."""
+    rows, denom, cols = scan_rows(w_basis)
+    return rows, denom, cols, [max(map(abs, row)) for row in rows]
+
+
+def _above(a: Scalar, b: Scalar, c: Scalar, d: Scalar, exact: bool) -> bool:
+    """a / b > c / d for b, d > 0: on integer cross products in exact
+    mode, on the rounded quotients in float mode."""
+    return a * d > c * b if exact else a / b > c / d
+
+
+def _ratio(num: Scalar, den: Scalar, exact: bool) -> Scalar:
+    return Fraction(num, den) if exact else num / den
+
+
+def _step_row(y: list, a: Scalar, c: Scalar, row: list) -> list:
+    """The scan row a y + c row."""
+    return [a * u + c * v for u, v in zip(y, row)]
 
 
 def _ascend_ratio(w_basis: Sequence[Seq], s: int, exact: bool,
-                  passes: int = 2) -> tuple:
+                  frame: Optional[tuple] = None) -> tuple:
     """Deterministic grid/coordinate ascent for max |f(s)| / |f|_inf over
     the span of w_basis.  Returns (best_ratio, best_vector).
 
     Every candidate is best + (n/4) w_i.  The search keeps only its scan
     row: y + (n/4) R_i in float mode and, in exact mode, 4 y + n q R_i
-    for y = q D best (q a power of 4).  The winner is then rebuilt by
-    replaying its steps with Seq.add and Seq.scale, so its coordinates
+    for y = q D best (q a power of 4).  frame is ``_scan_frame(w_basis)``,
+    built here when not given.  A candidate is read first at s and at the
+    column j where the best row attains its sup.  Its ratio is at most
+    |y(s)| / |y(j)|, so it is rejected unbuilt when y(s) = 0 or when that
+    bound is not above the best ratio; in float mode too, since rounded
+    division is monotone.  The best ratio is kept as the pair
+    (|y(s)|, max |y|), compared by ``_above``.  The winner is then rebuilt
+    by replaying its steps with Seq.add and Seq.scale, so its coordinates
     and tail bound are what those operations give.
     """
-    rows, _, cols = scan_rows(w_basis)
-    p = cols.index(s - 1) if s - 1 in cols else None
-
-    def step(y, q, i, n):
-        if exact:
-            return scan_combine([y, rows[i]], [4, n * q]), 4 * q
-        return scan_combine([y, rows[i]], [1, n / 4.0]), 1
-
-    ranked = sorted(range(len(w_basis)),
-                    key=lambda i: (-abs(float(w_basis[i].at(s))), i))
-    ticks = (-4, -3, -2, -1, 1, 2, 3, 4)
+    rows, denom, cols, sups = frame or _scan_frame(w_basis)
+    p = bisect_left(cols, s - 1)
+    if p == len(cols) or cols[p] != s - 1:  # s is zero on the whole span
+        return _ratio(0, 1, exact), w_basis[0]
+    ranked = sorted(range(len(w_basis)),  # float(w_i(s)), rounded once
+                    key=lambda i: (-abs(rows[i][p] / denom), i))
+    lead = 4 if exact else 1
     base, path = ranked[0], ()
     best_y, best_q = rows[base], 1
-    best = _scan_ratio(best_y, p, exact)
+    best = (abs(best_y[p]), sups[base]) if sups[base] else (0, 1)
+    best_j = list(map(abs, best_y)).index(sups[base])
+
+    def improves(y: list, q: int, i: int, n: int) -> bool:
+        """Whether the candidate lead y + c R_i beats the best ratio; if
+        so, it becomes the best."""
+        nonlocal best, best_y, best_q, best_j
+        row = rows[i]
+        c = n * q if exact else n / 4.0
+        y_s = abs(lead * y[p] + c * row[p])
+        if not y_s:
+            return False
+        y_j = abs(lead * y[best_j] + c * row[best_j])
+        if y_j and not _above(y_s, y_j, *best, exact):
+            return False
+        cand = _step_row(y, lead, c, row)
+        mags = list(map(abs, cand))
+        sup = max(mags)
+        if not _above(y_s, sup, *best, exact):
+            return False
+        best, best_j = (y_s, sup), mags.index(sup)
+        best_y, best_q = cand, lead * q
+        return True
+
     # pairwise combinations among the most s-active directions
     for a_pos in range(min(3, len(ranked))):
         for b_pos in range(a_pos + 1, min(4, len(ranked))):
             ia, ib = ranked[a_pos], ranked[b_pos]
-            for n in ticks:
-                y, q = step(rows[ia], 1, ib, n)
-                r = _scan_ratio(y, p, exact)
-                if r > best:
-                    best, best_y, best_q = r, y, q
+            for n in _TICKS:
+                if improves(rows[ia], 1, ib, n):
                     base, path = ia, ((ib, n),)
-    for _ in range(passes):
+    for _ in range(_ASCENT_PASSES):
         improved = False
         for i in range(len(w_basis)):
-            for n in ticks:
-                y, q = step(best_y, best_q, i, n)
-                r = _scan_ratio(y, p, exact)
-                if r > best:
-                    best, best_y, best_q = r, y, q
+            for n in _TICKS:
+                if improves(best_y, best_q, i, n):
                     path += ((i, n),)
                     improved = True
         if not improved:
@@ -390,7 +431,42 @@ def _ascend_ratio(w_basis: Sequence[Seq], s: int, exact: bool,
     for i, n in path:
         best_vec = best_vec.add(
             w_basis[i].scale(Fraction(n, 4) if exact else n / 4.0))
-    return best, best_vec
+    return _ratio(*best, exact), best_vec
+
+
+def _halving_step(w_basis: Sequence[Seq], start: int, skip: set,
+                  exact: bool) -> Optional[tuple]:
+    """(s, w) for the least coordinate s >= start outside skip where some
+    w in the span of the RREF basis w_basis has |w(s)| >= |w|_inf / 2
+    (eta slack in float mode), or None.
+
+    The search reads one scan frame: it visits only the frame's columns,
+    since every working vector is zero off them.  A coordinate whose
+    column sum is below 1/2 is skipped, since |c_i| <= |w|_inf at RREF
+    pivots bounds every |w(s)| by that sum times |w|_inf.  Then the best
+    basis vector is tried, and last the ratio ascent on the same frame.
+    """
+    half = Fraction(1, 2) if exact else 0.5 - DEFAULT_ETA
+    frame = _scan_frame(w_basis)
+    rows, denom, cols, sups = frame
+    for p in range(bisect_left(cols, start - 1), len(cols)):
+        s = cols[p] + 1
+        if s in skip:
+            continue
+        mags = [abs(row[p]) for row in rows]  # D |w_i(s)|
+        if 2 * sum(mags) < denom:
+            continue
+        best_i = None
+        for i, (mag, sup) in enumerate(zip(mags, sups)):
+            if sup and (best_i is None or _above(
+                    mag, sup, mags[best_i], sups[best_i], exact)):
+                best_i = i
+        if _ratio(mags[best_i], sups[best_i], exact) >= half:
+            return s, w_basis[best_i]
+        r, vec = _ascend_ratio(w_basis, s, exact, frame)
+        if r >= half:
+            return s, vec
+    return None
 
 
 def sample_basis_inequality(f_list: Sequence[Seq], eps_seq: Sequence,
@@ -538,9 +614,10 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
                          seed: int = 0, samples: int = 200) -> MazurCert:
     """Unit-diagonal basic family in a sup-norm subspace.
 
-    Step k scans for the minimal coordinate where some working-subspace
-    vector carries at least half its sup norm (feasibility via a
-    rigorous per-coordinate upper bound, then deterministic ascent),
+    Step k scans one scan frame of the working subspace for the minimal
+    coordinate where some working-subspace vector carries at least half
+    its sup norm (``_halving_step``: feasibility via a rigorous
+    per-coordinate upper bound, then deterministic ascent),
     normalizes the witness to diagonal 1, and shrinks the working
     subspace by the new coordinate plus the argmax coordinates of a
     deterministic net over the current span.  The recorded basis
@@ -571,8 +648,6 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
     tol = zero_tol(exact)
     t_len = subspace.truncation
     rng = random.Random(seed)
-    half = Fraction(1, 2) if exact else 0.5
-    accept_slack = tol if not exact else Fraction(0)
 
     n_list: list[int] = []
     f_list: list[Seq] = []
@@ -588,30 +663,8 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
             raise DimensionExhausted(
                 f"working subspace exhausted after {k - 1} of {depth} steps "
                 f"({len(constraints)} zero constraints)")
-        sups = [norm(b, _SUP) for b in w_basis]
         start = n_list[-1] + 1 if n_list else 1
-        found = None
-        for s in range(start, t_len + 1):
-            if s in constraint_set:
-                continue
-            col = [b.at(s) for b in w_basis]
-            upper = sum(abs(v) for v in col)  # |c_i| <= |f|_inf at RREF pivots
-            if upper < half:
-                continue
-            best_i, best_r = None, -1
-            for i, v in enumerate(col):
-                if sups[i] == 0:
-                    continue
-                r = abs(v) / sups[i]
-                if r > best_r:
-                    best_r, best_i = r, i
-            if best_r >= half - accept_slack:
-                found = (s, w_basis[best_i])
-                break
-            r, vec = _ascend_ratio(w_basis, s, exact)
-            if r >= half - accept_slack:
-                found = (s, vec)
-                break
+        found = _halving_step(w_basis, start, constraint_set, exact)
         if found is None:
             raise SearchExhausted(
                 f"no coordinate in [{start}, {t_len}] admits a working-subspace "

@@ -5,7 +5,8 @@ in float mode), of four lp and lineability certificates (the l2
 zeroing scenario of test_11, a dominance certificate at eps = 1/100, an
 lp density repair and the test_11 lineability certificate) and of the
 test_11 witness.  GOLDEN_NET pins four Mazur certificates on dense
-fixtures, and GOLDEN_TAILED two on fixtures with generator tails.  A
+fixtures, GOLDEN_TAILED two on fixtures with generator tails, and
+GOLDEN_SURVEY the Mazur outcomes of the whole 60-fixture survey.  A
 refactor that changes a digest changed what seqlab emits; it must say
 so and update the digest deliberately.
 
@@ -31,6 +32,7 @@ import pytest
 from seqlab.certificates import SCHEMA_VERSION, dumps_canonical
 from seqlab.cli import Scenario, run_scenario
 from seqlab.core import AmbientSpace, Seq, subspace_from_json
+from seqlab.errors import SeqLabError
 from seqlab.linf_construction import default_eps_seq, mazur_basic_sequence
 from seqlab.lp_construction import window_blocks
 
@@ -288,3 +290,35 @@ def test_tailed_mazur_bytes_pinned(seed):
     cert = mazur_basic_sequence(sub, default_eps_seq(depth, True), depth,
                                 seed=0, samples=60)
     assert _digest(cert.as_json()) == GOLDEN_TAILED[seed]
+
+
+#: one digest of the 60-fixture survey (seeds 2000-2059, ``_survey_fixture``)
+#: through ``mazur_basic_sequence`` with samples=60, in exact and float
+#: mode: per fixture (n, f coords, zeroed_coords), or the class name of
+#: the error it raises.  Computed before the Mazur step search read one
+#: scan frame per step.  It pins bytes, not soundness: a certified Mazur
+#: step will change it on purpose.
+GOLDEN_SURVEY = "6987423de941e3c8128991a429bad88ab70a51ee37bc0581cc038db79cb33f59"
+
+
+def _survey_outcomes():
+    out = []
+    for seed in range(2000, 2060):
+        obj, depth = _survey_fixture(seed)
+        for mode in ("exact", "float"):
+            exact = mode == "exact"
+            sub = subspace_from_json(obj, mode=mode)
+            try:
+                cert = mazur_basic_sequence(
+                    sub, default_eps_seq(depth, exact), depth, samples=60)
+            except SeqLabError as exc:  # the error class is the outcome
+                out.append([seed, mode, type(exc).__name__])
+                continue
+            out.append([seed, mode, list(cert.n),
+                        [v.as_json()["coords"] for v in cert.f],
+                        list(cert.zeroed_coords)])
+    return out
+
+
+def test_survey_outcomes_pinned():
+    assert _digest(_survey_outcomes()) == GOLDEN_SURVEY

@@ -7,6 +7,10 @@ ones and columns holding only +-0.0.  The Mazur net, evaluated from its
 point structure, must give the functionals of the dense net it replaced;
 its precomputed pair rows and the running-max basis-constant ratio must
 give the rows and values of verbatim copies of the code they replaced.
+The Mazur step search, on one scan frame per step and with a ratio
+ascent that rejects candidates before building them, must give what the
+coordinate loop and scan_combine ascent it replaced gave, verbatim
+copies of which are kept here.
 """
 import math
 import random
@@ -19,7 +23,9 @@ from hypothesis import strategies as st
 from seqlab.core import (
     AmbientSpace,
     Seq,
+    Subspace,
     combine,
+    load_fixture,
     norm,
     scan_combine,
     scan_prefix_sups,
@@ -31,11 +37,16 @@ from seqlab import linf_construction
 from seqlab.linf_construction import (
     NET_RESOLUTION,
     _ascend_ratio,
+    _halving_step,
     _net_functionals,
+    _scan_frame,
+    default_eps_seq,
+    mazur_basic_sequence,
     sample_basis_inequality,
 )
 from seqlab.lp_construction import basis_constant_lower_bound
-from seqlab.scalar import DEFAULT_ETA
+from seqlab.scalar import DEFAULT_ETA, zero_tol
+from test_acceptance import _random_linf_fixture
 from seqlab.witnesses import witness_from_parts
 
 LINF = AmbientSpace.linf()
@@ -646,3 +657,244 @@ class TestPrecomputedNetAndRatio:
         got = basis_constant_lower_bound(fam, space, trials=12, seed=5)
         want = old_basis_constant_lower_bound(fam, space, trials=12, seed=5)
         assert same(got, want) and type(got) is type(want)
+
+
+# -- the Mazur step search before it read one scan frame per step ----------
+
+def old_scan_ratio(y, p, exact):
+    """Verbatim copy of _scan_ratio, which the scan_combine ascent used."""
+    sup = max(map(abs, y))
+    if sup == 0 or p is None:
+        return Fraction(0) if exact else 0.0
+    return Fraction(abs(y[p]), sup) if exact else abs(y[p]) / sup
+
+
+def old_ascend_ratio(w_basis, s, exact, passes=2):
+    """Verbatim copy of the scan_combine-based _ascend_ratio that the
+    one-frame ascent replaced."""
+    rows, _, cols = scan_rows(w_basis)
+    p = cols.index(s - 1) if s - 1 in cols else None
+
+    def step(y, q, i, n):
+        if exact:
+            return scan_combine([y, rows[i]], [4, n * q]), 4 * q
+        return scan_combine([y, rows[i]], [1, n / 4.0]), 1
+
+    ranked = sorted(range(len(w_basis)),
+                    key=lambda i: (-abs(float(w_basis[i].at(s))), i))
+    ticks = (-4, -3, -2, -1, 1, 2, 3, 4)
+    base, path = ranked[0], ()
+    best_y, best_q = rows[base], 1
+    best = old_scan_ratio(best_y, p, exact)
+    # pairwise combinations among the most s-active directions
+    for a_pos in range(min(3, len(ranked))):
+        for b_pos in range(a_pos + 1, min(4, len(ranked))):
+            ia, ib = ranked[a_pos], ranked[b_pos]
+            for n in ticks:
+                y, q = step(rows[ia], 1, ib, n)
+                r = old_scan_ratio(y, p, exact)
+                if r > best:
+                    best, best_y, best_q = r, y, q
+                    base, path = ia, ((ib, n),)
+    for _ in range(passes):
+        improved = False
+        for i in range(len(w_basis)):
+            for n in ticks:
+                y, q = step(best_y, best_q, i, n)
+                r = old_scan_ratio(y, p, exact)
+                if r > best:
+                    best, best_y, best_q = r, y, q
+                    path += ((i, n),)
+                    improved = True
+        if not improved:
+            break
+    best_vec = w_basis[base]
+    for i, n in path:
+        best_vec = best_vec.add(
+            w_basis[i].scale(Fraction(n, 4) if exact else n / 4.0))
+    return best, best_vec
+
+
+def old_search(w_basis, start, t_len, constraint_set, exact):
+    """The coordinate-search loop mazur_basic_sequence ran before
+    _halving_step, verbatim between its setup and its result; the ascent
+    is the verbatim copy above."""
+    tol = zero_tol(exact)
+    half = Fraction(1, 2) if exact else 0.5
+    accept_slack = tol if not exact else Fraction(0)
+    sups = [norm(b, LINF) for b in w_basis]
+    found = None
+    for s in range(start, t_len + 1):
+        if s in constraint_set:
+            continue
+        col = [b.at(s) for b in w_basis]
+        upper = sum(abs(v) for v in col)  # |c_i| <= |f|_inf at RREF pivots
+        if upper < half:
+            continue
+        best_i, best_r = None, -1
+        for i, v in enumerate(col):
+            if sups[i] == 0:
+                continue
+            r = abs(v) / sups[i]
+            if r > best_r:
+                best_r, best_i = r, i
+        if best_r >= half - accept_slack:
+            found = (s, w_basis[best_i])
+            break
+        r, vec = old_ascend_ratio(w_basis, s, exact)
+        if r >= half - accept_slack:
+            found = (s, vec)
+            break
+    return found
+
+
+@st.composite
+def tied_exact_family(draw):
+    """Exact families over a few values, so magnitudes and ratios tie."""
+    t = draw(st.integers(1, 10))
+    d = draw(st.integers(1, 6))
+    entry = st.sampled_from([Fraction(k, 4) for k in (0, 1, -1, 2, -2, 4, -4)])
+    return [Seq(tuple(draw(st.lists(entry, min_size=t, max_size=t))), True,
+                Fraction(0)) for _ in range(d)]
+
+
+@st.composite
+def search_family(draw):
+    """A family with zero columns, ties and, sometimes, zero-sup rows; in
+    exact mode sometimes its RREF basis, the Mazur working subspace."""
+    fam = draw(with_zero_columns(st.one_of(
+        exact_families, tied_exact_family(), float_families)))
+    zero = (Fraction(0),) if fam[0].exact else (0.0, -0.0)
+    for i in draw(st.lists(st.integers(0, len(fam) - 1), max_size=2)):
+        fam[i] = Seq(tuple(draw(st.sampled_from(zero)) for _ in fam[i].coords),
+                     fam[i].exact, fam[i].tail_bound)
+    if fam[0].exact and draw(st.booleans()):
+        fam = list(Subspace.build(LINF, fam).reduced_basis) or fam
+    return fam
+
+
+def same_vector(a, b):
+    return (a.exact == b.exact and same(a.tail_bound, b.tail_bound)
+            and all(same(u, v)
+                    for u, v in zip(a.coords, b.coords, strict=True)))
+
+
+def fleet_basis(tmp_path, idx):
+    """The reduced basis of one fixture of the acceptance fleet's layout."""
+    rng = random.Random(808)
+    for i in range(idx + 1):
+        path = _random_linf_fixture(rng, tmp_path, i)
+    return load_fixture(path)
+
+
+#: w_1(1) and w_2(1) differ by 2^-60 but round to one float, so the ascent
+#: ranks them by index, as float(w_i(s)) always did
+ROUNDED_TIE = [Seq((Fraction(1), Fraction(1), Fraction(0)), True, Fraction(0)),
+               Seq((1 + Fraction(1, 2 ** 60), Fraction(0), Fraction(5)), True,
+                   Fraction(0))]
+
+
+class TestOneFrameSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(search_family())
+    def test_ascent_matches_the_scan_combine_copy(self, fam):
+        exact, frame = fam[0].exact, _scan_frame(fam)
+        for s in range(1, len(fam[0]) + 1):  # dropped columns included
+            want_r, want_vec = old_ascend_ratio(fam, s, exact)
+            for got_r, got_vec in (_ascend_ratio(fam, s, exact),
+                                   _ascend_ratio(fam, s, exact, frame)):
+                assert same(got_r, want_r) and type(got_r) is type(want_r)
+                assert same_vector(got_vec, want_vec)
+
+    @pytest.mark.parametrize("fam", ZERO_ROWS + ONE_VECTOR + [ROUNDED_TIE])
+    def test_ascent_on_edge_families(self, fam):
+        for s in range(1, len(fam[0]) + 1):
+            got_r, got_vec = _ascend_ratio(fam, s, fam[0].exact)
+            want_r, want_vec = old_ascend_ratio(fam, s, fam[0].exact)
+            assert same(got_r, want_r) and type(got_r) is type(want_r)
+            assert same_vector(got_vec, want_vec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(search_family(), st.data())
+    def test_search_matches_the_coordinate_loop(self, fam, data):
+        exact, t_len = fam[0].exact, len(fam[0])
+        start = data.draw(st.integers(1, t_len))
+        skip = set(data.draw(st.lists(st.integers(1, t_len), max_size=3)))
+        got = _halving_step(fam, start, skip, exact)
+        want = old_search(fam, start, t_len, skip, exact)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0] == want[0] and same_vector(got[1], want[1])
+
+    def test_search_accepts_a_float_ratio_within_eta_of_half(self):
+        """A basis vector whose ratio is within eta below 1/2 is the
+        float witness itself, not an ascent's combination."""
+        fam = [Seq((0.5 - DEFAULT_ETA / 10, 1.0, 0.0), False, 0.0),
+               Seq((0.25, 0.0, 1.0), False, 0.0)]
+        got = _halving_step(fam, 1, set(), False)
+        assert got == old_search(fam, 1, 3, set(), False) == (1, fam[0])
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_search_on_fleet_working_subspaces(self, tmp_path, mode):
+        """Every step of a fleet fixture's Mazur run, the net's
+        constraints included, against the replaced loop."""
+        sub = fleet_basis(tmp_path, 0)
+        if mode == "float":
+            sub = Subspace.build(LINF, [Seq(tuple(map(float, g.coords)),
+                                            False, 0.0)
+                                        for g in sub.generators])
+        cert = mazur_basic_sequence(sub, default_eps_seq(16, sub.exact), 16,
+                                    samples=60)
+        zeroed, start = list(cert.zeroed_coords), 1
+        for n_k in cert.n:
+            before = zeroed[:zeroed.index(n_k)]  # the earlier steps' zeros
+            w_basis = linf_construction._constrained_basis(
+                sub, before, zero_tol(sub.exact)) if before \
+                else sub.reduced_basis
+            got = _halving_step(w_basis, start, set(before), sub.exact)
+            want = old_search(w_basis, start, sub.truncation, set(before),
+                              sub.exact)
+            assert got[0] == want[0] == n_k
+            assert same_vector(got[1], want[1])
+            start = n_k + 1
+
+
+class TestOneFrameCounts:
+    def test_one_scan_per_step_and_few_built_rows(self, tmp_path,
+                                                  monkeypatch):
+        """On a fleet-layout fixture each Mazur step scans its working
+        subspace once, the net once more from step 2 and the sampler once
+        at the end; every ascent reads its step's frame and builds fewer
+        candidate rows than it considers."""
+        sub = fleet_basis(tmp_path, 0)
+        depth = 16
+        calls = {"scan_rows": 0, "built": 0, "considered": 0}
+        scan, ascend, build = (linf_construction.scan_rows,
+                               linf_construction._ascend_ratio,
+                               linf_construction._step_row)
+
+        def counting_scan(family):
+            calls["scan_rows"] += 1
+            return scan(family)
+
+        def counting_ascend(w_basis, s, exact, frame=None):
+            assert frame is not None
+            d = len(w_basis)  # the pair phase and at least one pass
+            pairs = sum(min(4, d) - a - 1 for a in range(min(3, d)))
+            calls["considered"] += 8 * (pairs + d)
+            return ascend(w_basis, s, exact, frame)
+
+        def counting_build(*args):
+            calls["built"] += 1
+            return build(*args)
+
+        monkeypatch.setattr(linf_construction, "scan_rows", counting_scan)
+        monkeypatch.setattr(linf_construction, "_ascend_ratio",
+                            counting_ascend)
+        monkeypatch.setattr(linf_construction, "_step_row", counting_build)
+        cert = mazur_basic_sequence(sub, default_eps_seq(depth, True), depth,
+                                    samples=60)
+        assert len(cert.n) == depth
+        assert calls["scan_rows"] == depth + (depth - 1) + 1
+        assert calls["considered"] > 0  # the ascent ran
+        assert calls["built"] < calls["considered"]

@@ -2,14 +2,19 @@
 certificates: the ledger it recomputes is the stored one, and tampers
 inside nested levels, with the stored ledger, the derived fields, the
 top-level status or the lengths of the stored lists are all
-rejected."""
+rejected.  ``evaluate`` skips a zero tolerance only where the sum is
+provably the right-hand side, so it must agree with a verbatim copy of
+the evaluator that always added it."""
 import copy
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqlab.certificates import dumps_canonical
+from seqlab.certificates import dumps_canonical, evaluate
 from seqlab.cli import Scenario, main, run_scenario
 from seqlab.core import Seq
 from seqlab.errors import MalformedCertificate
@@ -415,3 +420,67 @@ def test_stored_eta_does_not_loosen_zero_checks(docs, kind, tamper,
         prefix + "eta_matches" for prefix in eta_levels]
     assert any(label.startswith(zero_check) for label in labels), labels
     assert _verify_cli(tmp_path, doc) == 1
+
+
+def old_evaluate(lhs, rel, rhs, tol):
+    """Verbatim copy of evaluate before a zero tolerance skipped the sum."""
+    if rel == "lt":
+        return lhs < rhs + tol
+    if rel == "le":
+        return lhs <= rhs + tol
+    if rel == "abs_le":
+        return abs(lhs) <= rhs + tol
+    if rel == "abs_gt":
+        return abs(lhs) > rhs
+    if rel == "eq":
+        return abs(lhs - rhs) <= tol
+    if rel == "ge":
+        return lhs >= rhs - tol
+    raise MalformedCertificate(f"unknown check relation {rel!r}")
+
+
+RELATIONS = ("lt", "le", "abs_le", "abs_gt", "eq", "ge")
+SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 0, Fraction(0),
+           2 ** 53 + 1, 10 ** 400, Fraction(2 ** 53 + 1, 3))
+SCALARS = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.floats(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True))
+TOLS = st.one_of(st.sampled_from((0, Fraction(0), 0.0, -0.0, False)), SCALARS)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception class is the outcome
+        return type(exc)
+
+
+@settings(max_examples=800, deadline=None)
+@given(SCALARS, st.sampled_from(RELATIONS), SCALARS, TOLS)
+def test_evaluate_matches_the_always_summing_copy(lhs, rel, rhs, tol):
+    assert _outcome(evaluate, lhs, rel, rhs, tol) == \
+        _outcome(old_evaluate, lhs, rel, rhs, tol)
+
+
+@pytest.mark.parametrize("lhs, rel, rhs", [
+    (Fraction(1, 3), "le", Fraction(1, 3)),
+    (Fraction(1, 3), "abs_le", Fraction(1, 3)),
+    (Fraction(-1, 3), "ge", Fraction(-1, 3)),
+    (2 ** 53 + 1, "le", 2 ** 53 + 1),
+    (2 ** 53, "lt", 2 ** 53 + 1)])
+@pytest.mark.parametrize("tol", [0.0, -0.0])
+def test_evaluate_keeps_the_rounding_of_a_float_zero_tol(lhs, rel, rhs, tol):
+    """An exact rhs plus a float zero is rounded, and the rounding decides."""
+    assert evaluate(lhs, rel, rhs, tol) is old_evaluate(lhs, rel, rhs, tol) \
+        is False
+    assert evaluate(lhs, rel, rhs, 0) is evaluate(lhs, rel, rhs, Fraction(0))\
+        is True
+
+
+@pytest.mark.parametrize("tol", [0, Fraction(0), 0.0, Fraction(1, 3)])
+def test_evaluate_unknown_relation_raises(tol):
+    with pytest.raises(MalformedCertificate, match="unknown check relation"):
+        evaluate(Fraction(1), "gt", Fraction(0), tol)
