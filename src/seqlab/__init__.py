@@ -65,7 +65,6 @@ from .linf_construction import (
     build_cascade,
     construct_sup_zeroed_sequence,
     extract_stabilizing_subsequence,
-    halving_support,
     mazur_basic_sequence,
 )
 from .lp_construction import (

@@ -107,8 +107,8 @@ def run_scenario(scenario: Scenario) -> tuple[dict, int]:
 
         if scenario.pipeline == "lp":
             eps = params["eps"]
-            sub = load_fixture(scenario.fixture, mode=params["mode"])
-            sub = _apply_space_override(sub, params)
+            sub = load_fixture(scenario.fixture, mode=params["mode"],
+                               ambient=lambda space: _lp_space(space, params))
             # the zeroing stage needs eps < 1/512; for larger eps only the
             # dominant-sequence stage applies, which rejects eps >= 4/33
             if 0 < eps < ZEROING_EPS_SUP:
@@ -171,22 +171,24 @@ def _document(kind: str, body: dict, status: str, sub=None, name=None):
     return doc, _doc_exit(doc)
 
 
-def _apply_space_override(sub: Subspace, params: dict) -> Subspace:
+def _lp_space(space: AmbientSpace, params: dict) -> AmbientSpace:
+    """The space construct-lp runs in: the fixture's, or --space/--p.  A
+    linf or c0 fixture is built in it directly, so --mode float serves
+    it."""
     space_kind = params.get("space")
     p_val = params.get("p")
     if space_kind is None and p_val is None:
-        if sub.ambient.kind != "lp":
+        if space.kind != "lp":
             raise ConfigError("construct-lp: fixture space must be lp "
                               "(or pass --space lp --p <p>)")
-        return sub
-    kind = space_kind or sub.ambient.kind
+        return space
+    kind = space_kind or space.kind
     if kind != "lp":
         raise ConfigError("construct-lp: --space must be lp")
-    p = p_val if p_val is not None else sub.ambient.p
+    p = p_val if p_val is not None else space.p
     if p is None:
         raise ConfigError("construct-lp: --p required with --space lp")
-    return Subspace(AmbientSpace.lp(p), sub.generators, sub.reduced_basis,
-                    sub.pivots, sub.dim)
+    return AmbientSpace.lp(p)
 
 
 def _density_target(sub: Subspace, params: dict) -> Seq:

@@ -8,7 +8,8 @@ match the usual sequence-space conventions; the raw ``coords`` tuple is
 
 Two scalar modes coexist: exact ``Fraction`` coordinates (the sup norm
 and the l1 norm stay rational) and ``float`` coordinates for general
-lp.  A workspace never mixes modes.
+lp.  A workspace never mixes modes, and the sup-norm spaces linf and c0
+are exact only: ``Subspace.build`` refuses them float generators.
 
 Every ``Seq`` caches its support, ``Seq.nonzero``: the ascending tuple
 of the 0-based indices j with ``coords[j] != 0`` (so a float -0.0 is not
@@ -512,9 +513,8 @@ def combine(basis: Sequence[Seq], coeffs: Sequence[Scalar]) -> Seq:
 #
 # A scan reads one number from each combination (an argmax, a sign, a sup,
 # a ratio) and then drops it.  It runs on the columns where the family is
-# nonzero, and in exact mode on integer numerators over one common
-# denominator instead of Fractions; only the vectors a construction keeps
-# are built as Seqs.
+# nonzero, on integer numerators over one common denominator instead of
+# Fractions; only the vectors a construction keeps are built as Seqs.
 # ---------------------------------------------------------------------------
 
 def scan_rows(family: Sequence[Seq]) -> tuple[list, int, list]:
@@ -528,14 +528,13 @@ def scan_rows(family: Sequence[Seq]) -> tuple[list, int, list]:
     full vectors.  An all-zero family keeps column 0, so its scans still
     see one zero.
 
-    Exact mode: integer numerators over one common denominator, so that
+    The family is exact (the sup-norm spaces are).  The rows are integer
+    numerators over one common denominator, so that
     ``family[i].at(cols[p] + 1) == rows[i][p] / D``; a row is built from
-    its vector's support, so it costs its nonzeros.  Float mode: the
-    coordinates unchanged, with D = 1.  Tail bounds are not carried.
+    its vector's support, so it costs its nonzeros.  Tail bounds are not
+    carried.
     """
     cols = sorted(set().union(*(f.nonzero for f in family))) or [0]
-    if not all(f.exact for f in family):
-        return [[f.coords[j] for j in cols] for f in family], 1, cols
     denom = math.lcm(*(f.coords[j].denominator for f in family
                        for j in f.nonzero))
     at = {j: p for p, j in enumerate(cols)}
@@ -553,10 +552,10 @@ def _running_sums(rows: Sequence[list], coeffs: Sequence[Scalar]):
     """Yield the running row after each term of sum(c_i * row_i).
 
     Fraction coefficients are first multiplied by the least common
-    multiple E of their denominators, so integer rows stay integer and
-    every yielded row is E times the true partial sum (E = 1 for int and
-    float coefficients).  Terms are added in combine's order and zero
-    coefficients are skipped, so float rows give combine's bits.
+    multiple E of their denominators, so the integer rows stay integer
+    and every yielded row is E times the true partial sum (E = 1 for int
+    coefficients).  Terms are added in combine's order and zero
+    coefficients are skipped.
     """
     if len(rows) != len(coeffs):
         raise LengthMismatch(f"{len(rows)} rows vs {len(coeffs)} coefficients")
@@ -565,7 +564,7 @@ def _running_sums(rows: Sequence[list], coeffs: Sequence[Scalar]):
     if any(isinstance(c, Fraction) for c in coeffs):
         scale = math.lcm(*(c.denominator for c in coeffs))
         coeffs = [c.numerator * (scale // c.denominator) for c in coeffs]
-    acc = [0.0 if isinstance(rows[0][0], float) else 0] * len(rows[0])
+    acc = [0] * len(rows[0])
     for c, row in zip(coeffs, rows):
         if c:
             acc = [a + c * v for a, v in zip(acc, row)]
@@ -576,7 +575,7 @@ def scan_combine(rows: Sequence[list], coeffs: Sequence[Scalar]) -> list:
     """A positive multiple of sum(c_i * row_i) over scan rows.
 
     The multiple keeps argmax, signs, zero tests and ratios of sups; it
-    is exactly the sum for int or float coefficients (see _running_sums).
+    is exactly the sum for int coefficients (see _running_sums).
     """
     for acc in _running_sums(rows, coeffs):
         pass
@@ -585,7 +584,7 @@ def scan_combine(rows: Sequence[list], coeffs: Sequence[Scalar]) -> list:
 
 def scan_prefix_sups(rows: Sequence[list], coeffs: Sequence[Scalar]) -> list:
     """max |sum_{i<=k} c_i row_i| for every prefix k, all scaled by one
-    common positive multiple (exactly 1 for int or float coefficients)."""
+    common positive multiple (exactly 1 for int coefficients)."""
     return [max(map(abs, acc)) for acc in _running_sums(rows, coeffs)]
 
 
@@ -624,6 +623,10 @@ class Subspace:
                 raise LengthMismatch("generators must share one truncation length")
             if g.exact != exact:
                 raise ConfigError("generators must share one scalar mode")
+        if ambient.is_sup and not exact:
+            raise ConfigError(f"{ambient.kind} spaces are exact only: float "
+                              "generators are refused (use mode exact or "
+                              "auto)")
         rows = [list(g.coords) for g in generators]
         tails = [g.tail_bound for g in generators]
         rows, tails, pivot_cols = linalg.rref(rows, zero_tol(exact), tails)
@@ -714,8 +717,13 @@ def normalize(x: Seq, space: AmbientSpace) -> Seq:
 # Rationals serialize as "num/den" strings.
 # ---------------------------------------------------------------------------
 
-def subspace_from_json(obj: dict, mode: str = "auto") -> Subspace:
-    """Build a Subspace from the fixture JSON object."""
+def subspace_from_json(obj: dict, mode: str = "auto",
+                       ambient=None) -> Subspace:
+    """Build a Subspace from the fixture JSON object.
+
+    ambient, when given, maps the fixture's space to the space the
+    subspace is built in; the scalar mode and the generators still
+    follow the fixture's own space."""
     if not isinstance(obj, dict):
         raise ConfigError("fixture must be a JSON object")
     for key in ("space", "truncation", "generators"):
@@ -729,7 +737,7 @@ def subspace_from_json(obj: dict, mode: str = "auto") -> Subspace:
     gens = []
     for spec in obj["generators"]:
         gens.append(_generator_from_json(spec, t, exact, space))
-    return Subspace.build(space, gens)
+    return Subspace.build(ambient(space) if ambient else space, gens)
 
 
 def _resolve_mode(mode: str, space: AmbientSpace) -> bool:
@@ -778,10 +786,10 @@ def _generator_from_json(spec: dict, t: int, exact: bool,
     raise ConfigError(f"unknown generator kind {kind!r}")
 
 
-def load_fixture(path: str, mode: str = "auto") -> Subspace:
+def load_fixture(path: str, mode: str = "auto", ambient=None) -> Subspace:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"fixture {path}: invalid JSON ({exc})") from exc
-    return subspace_from_json(obj, mode=mode)
+    return subspace_from_json(obj, mode=mode, ambient=ambient)

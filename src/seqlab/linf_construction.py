@@ -12,11 +12,16 @@ the explicit failure mode when no bucket captures enough indices.
 
 Norming functionals in the sup norm are realized as signed coordinate
 evaluations at a maximal coordinate, so each net point adds at most one
-new zeroed coordinate to the shrinking working subspace.
+new zeroed coordinate to the shrinking working subspace.  That subspace
+is an RREF basis, updated for each new zero constraint, and each f_k's
+tail bound is read off its coefficients in the fixture's reduced basis,
+so it depends on f_k alone.
 
-Scans that read one number from each combination and drop it (the net,
-the ratio ascent, the sampled basis inequality) run on the family's
-nonzero columns, in exact mode on integer numerators over one common
+The sup-norm spaces are exact: every vector, eps and tolerance here is
+rational, and ``core.Subspace.build`` refuses a linf or c0 span of float
+generators.  Scans that read one number from each combination and drop
+it (the net, the ratio ascent, the sampled basis inequality) run on the
+family's nonzero columns, on integer numerators over one common
 denominator (``core.scan_rows``); only the vectors a construction keeps
 become Fractions.  Each Mazur step's search reads one such scan frame of
 its working subspace, with each row's sup, and compares ratios on
@@ -26,8 +31,7 @@ them.  The net's points are evaluated from their structure:
 an axis point is a signed scan row, a pair point combines two rows.  The
 sampled basis-inequality margins stay integer numerators over one
 denominator per prefix pair, and become one Fraction per pair at the
-end; a float eps in exact mode makes those margins floats, so it keeps
-the scalar arithmetic.
+end.
 """
 from __future__ import annotations
 
@@ -38,13 +42,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import linalg
 from .certificates import checks_status, make_check
 from .core import (
     AmbientSpace,
     Seq,
     Subspace,
-    combine,
     norm,
     scan_combine,
     scan_prefix_sups,
@@ -53,15 +55,13 @@ from .core import (
 from .errors import (
     CaseBoundViolated,
     ConfigError,
-    ConstructionFailure,
     DimensionExhausted,
     InsufficientStabilization,
     NetTooCoarse,
     SearchExhausted,
-    ZeroVector,
 )
 from .lp_construction import basis_constant_lower_bound
-from .scalar import DEFAULT_ETA, Scalar, scalar_to_json, zero_tol
+from .scalar import DEFAULT_ETA, Scalar, scalar_to_json
 
 DEFAULT_STAB_TOL = Fraction(1, 10 ** 6)
 #: grid step of the Mazur net's coefficients
@@ -76,14 +76,15 @@ _ASCENT_PASSES = 2
 _TICKS = (-4, -3, -2, -1, 1, 2, 3, 4)
 #: the sup norm, which linf and c0 share
 _SUP = AmbientSpace.linf()
+#: the zero tolerance of every sup-norm check: the sup-norm spaces are exact
+_TOL = Fraction(0)
 
 
-def default_eps_seq(mazur_depth: int, exact: bool) -> list:
+def default_eps_seq(mazur_depth: int) -> list:
     """The Mazur eps sequence the pipelines use: 1, 1/4, 1/8, ..., up to
     1/2^mazur_depth."""
-    one = Fraction(1) if exact else 1.0
-    return [one] + [(Fraction(1, 2 ** i) if exact else 2.0 ** -i)
-                    for i in range(2, mazur_depth + 1)]
+    return [Fraction(1)] + [Fraction(1, 2 ** i)
+                            for i in range(2, mazur_depth + 1)]
 
 
 @dataclass(frozen=True)
@@ -204,26 +205,9 @@ class SupZeroingCert:
         }
 
 
-def halving_support(f: Seq) -> int:
-    """Minimal 1-based s with |f(s)| >= |f|_inf / 2 (eta slack in float mode)."""
-    space = AmbientSpace.linf()
-    sup = norm(f, space)
-    tol = zero_tol(f.exact)
-    if sup <= tol:
-        raise ZeroVector("halving_support of a (numerically) zero vector")
-    half = sup / 2
-    slack = tol
-    for j in range(1, len(f) + 1):
-        if abs(f.at(j)) >= half - slack:
-            return j
-    raise ConstructionFailure("no coordinate carries half the sup norm")
-
-
 def _bucket_key(value: Scalar, tol: Scalar) -> int:
     """Centered bucket index: value lies within tol/2 of key*tol."""
-    if isinstance(value, Fraction) and isinstance(tol, Fraction):
-        return math.floor(value / tol + Fraction(1, 2))
-    return math.floor(float(value) / float(tol) + 0.5)
+    return math.floor(value / tol + Fraction(1, 2))
 
 
 def extract_stabilizing_subsequence(g1: Seq, g2: Seq, m: Sequence[int],
@@ -268,61 +252,17 @@ def extract_stabilizing_subsequence(g1: Seq, g2: Seq, m: Sequence[int],
 # Mazur-style basic sequence
 # ---------------------------------------------------------------------------
 
-def _constrained_basis(subspace: Subspace, constraints: Sequence[int], tol):
-    """RREF basis of {f in span(V): f(j)=0 for j in constraints}, rebuilt
-    from the reduced basis of V.
-
-    ``mazur_basic_sequence`` calls it in float mode and on exact fixtures
-    whose reduced basis has a nonzero tail bound; an exact untailed
-    fixture takes ``_impose_zeros`` instead, which gives the same basis.
-
-    Exact mode reduces in coefficient space.  The reduced basis b of V
-    has pivots P, so a nonzero combination sum c_i b_i has its leading
-    entry at P_i for the first i with c_i != 0, and its value there is
-    c_i.  A T-wide elimination of the combined vectors therefore pivots
-    only on P columns and performs the row operations, multipliers,
-    pivot scalings and tail updates of an RREF of the coefficient rows.
-    So the coefficient rows are reduced, each reduced row R is combined
-    once, and its tail bound is the one the elimination produced, not
-    combine's.  The initial tails are combine's, sum |c_i| tail(b_i),
-    over the b_i with a nonzero tail.  Those tails depend on the
-    elimination's path and not only on the subspace, which is why a
-    tailed fixture keeps this rebuild: an update one constraint at a time
-    reaches the same coordinates but, on geometric generators, other tail
-    bounds, and so other certificate bytes.
-
-    Float mode reduces the T-wide vectors: partial pivoting with eta
-    and float rounding differ between the two spaces, so only the
-    T-wide path gives the float bits the certificates hold.
-    """
-    basis = subspace.reduced_basis
-    matrix = [[b.at(j) for b in basis] for j in constraints]
-    coeff_rows = linalg.nullspace_basis(matrix, len(basis), tol)
-    if not coeff_rows:
-        return ()
-    if not subspace.exact:
-        vs = [combine(basis, c) for c in coeff_rows]
-        rows, tails, _ = linalg.rref([list(v.coords) for v in vs], tol,
-                                     [v.tail_bound for v in vs])
-        return tuple(Seq(tuple(r), False, tb) for r, tb in zip(rows, tails))
-    tailed = [(i, b.tail_bound) for i, b in enumerate(basis) if b.tail_bound]
-    tails = [sum((abs(c[i]) * tb for i, tb in tailed), Fraction(0))
-             for c in coeff_rows]
-    rows, tails, _ = linalg.rref(coeff_rows, tol, tails)
-    return tuple(combine(basis, r).with_tail(tb) for r, tb in zip(rows, tails))
-
-
 def _impose_zeros(w_basis: Sequence[Seq], coords: Sequence[int]) -> tuple:
     """RREF basis of {f in span(w_basis): f(j)=0 for j in coords}, for an
-    exact RREF basis w_basis whose tail bounds are all 0.
+    RREF basis w_basis.
 
     Each j removes at most one dimension.  The last vector b* with
     b*(j) != 0 is dropped, after b*(j)^-1 b(j) b* is subtracted from each
     other vector b nonzero at j.  Those vectors come before b*, so b* is
     zero at their pivots and they keep them; b* is zero at every other
-    pivot too, so the result is again an RREF basis and, the RREF of a
-    subspace being unique, the one ``_constrained_basis`` rebuilds.  The
-    tail bounds stay 0, each as Fraction(0), as that rebuild gives them.
+    pivot too, so the result is again an RREF basis: the RREF basis of
+    the constrained subspace, which is unique.  The tail bounds are the
+    ones Seq.sub gives; ``mazur_basic_sequence`` does not read them.
     """
     basis = list(w_basis)
     for j in coords:
@@ -334,9 +274,7 @@ def _impose_zeros(w_basis: Sequence[Seq], coords: Sequence[int]) -> tuple:
         for i in hits[:-1]:
             b = basis[i]
             basis[i] = b.sub(star.scale(b.coords[j - 1] / pivot))
-    zero = Fraction(0)
-    return tuple(b if type(b.tail_bound) is Fraction else b.with_tail(zero)
-                 for b in basis)
+    return tuple(basis)
 
 
 def _scan_frame(w_basis: Sequence[Seq]) -> tuple:
@@ -346,69 +284,61 @@ def _scan_frame(w_basis: Sequence[Seq]) -> tuple:
     return rows, denom, cols, [max(map(abs, row)) for row in rows]
 
 
-def _above(a: Scalar, b: Scalar, c: Scalar, d: Scalar, exact: bool) -> bool:
-    """a / b > c / d for b, d > 0: on integer cross products in exact
-    mode, on the rounded quotients in float mode."""
-    return a * d > c * b if exact else a / b > c / d
+def _above(a: int, b: int, c: int, d: int) -> bool:
+    """a / b > c / d for b, d > 0, on integer cross products."""
+    return a * d > c * b
 
 
-def _ratio(num: Scalar, den: Scalar, exact: bool) -> Scalar:
-    return Fraction(num, den) if exact else num / den
+def _step_row(y: list, c: int, row: list) -> list:
+    """The scan row 4 y + c row."""
+    return [4 * u + c * v for u, v in zip(y, row)]
 
 
-def _step_row(y: list, a: Scalar, c: Scalar, row: list) -> list:
-    """The scan row a y + c row."""
-    return [a * u + c * v for u, v in zip(y, row)]
-
-
-def _ascend_ratio(w_basis: Sequence[Seq], s: int, exact: bool,
+def _ascend_ratio(w_basis: Sequence[Seq], s: int,
                   frame: Optional[tuple] = None) -> tuple:
     """Deterministic grid/coordinate ascent for max |f(s)| / |f|_inf over
     the span of w_basis.  Returns (best_ratio, best_vector).
 
     Every candidate is best + (n/4) w_i.  The search keeps only its scan
-    row: y + (n/4) R_i in float mode and, in exact mode, 4 y + n q R_i
-    for y = q D best (q a power of 4).  frame is ``_scan_frame(w_basis)``,
-    built here when not given.  A candidate is read first at s and at the
-    column j where the best row attains its sup.  Its ratio is at most
-    |y(s)| / |y(j)|, so it is rejected unbuilt when y(s) = 0 or when that
-    bound is not above the best ratio; in float mode too, since rounded
-    division is monotone.  The best ratio is kept as the pair
-    (|y(s)|, max |y|), compared by ``_above``.  The winner is then rebuilt
-    by replaying its steps with Seq.add and Seq.scale, so its coordinates
-    and tail bound are what those operations give.
+    row, 4 y + n q R_i for y = q D best (q a power of 4).  frame is
+    ``_scan_frame(w_basis)``, built here when not given.  A candidate is
+    read first at s and at the column j where the best row attains its
+    sup.  Its ratio is at most |y(s)| / |y(j)|, so it is rejected unbuilt
+    when y(s) = 0 or when that bound is not above the best ratio.  The
+    best ratio is kept as the integer pair (|y(s)|, max |y|), compared by
+    ``_above``.  The winner is then rebuilt by replaying its steps with
+    Seq.add and Seq.scale, so its coordinates and tail bound are what
+    those operations give.
     """
     rows, denom, cols, sups = frame or _scan_frame(w_basis)
     p = bisect_left(cols, s - 1)
     if p == len(cols) or cols[p] != s - 1:  # s is zero on the whole span
-        return _ratio(0, 1, exact), w_basis[0]
+        return Fraction(0), w_basis[0]
     ranked = sorted(range(len(w_basis)),  # float(w_i(s)), rounded once
                     key=lambda i: (-abs(rows[i][p] / denom), i))
-    lead = 4 if exact else 1
     base, path = ranked[0], ()
     best_y, best_q = rows[base], 1
     best = (abs(best_y[p]), sups[base]) if sups[base] else (0, 1)
     best_j = list(map(abs, best_y)).index(sups[base])
 
     def improves(y: list, q: int, i: int, n: int) -> bool:
-        """Whether the candidate lead y + c R_i beats the best ratio; if
+        """Whether the candidate 4 y + n q R_i beats the best ratio; if
         so, it becomes the best."""
         nonlocal best, best_y, best_q, best_j
-        row = rows[i]
-        c = n * q if exact else n / 4.0
-        y_s = abs(lead * y[p] + c * row[p])
+        row, c = rows[i], n * q
+        y_s = abs(4 * y[p] + c * row[p])
         if not y_s:
             return False
-        y_j = abs(lead * y[best_j] + c * row[best_j])
-        if y_j and not _above(y_s, y_j, *best, exact):
+        y_j = abs(4 * y[best_j] + c * row[best_j])
+        if y_j and not _above(y_s, y_j, *best):
             return False
-        cand = _step_row(y, lead, c, row)
+        cand = _step_row(y, c, row)
         mags = list(map(abs, cand))
         sup = max(mags)
-        if not _above(y_s, sup, *best, exact):
+        if not _above(y_s, sup, *best):
             return False
         best, best_j = (y_s, sup), mags.index(sup)
-        best_y, best_q = cand, lead * q
+        best_y, best_q = cand, 4 * q
         return True
 
     # pairwise combinations among the most s-active directions
@@ -429,16 +359,15 @@ def _ascend_ratio(w_basis: Sequence[Seq], s: int, exact: bool,
             break
     best_vec = w_basis[base]
     for i, n in path:
-        best_vec = best_vec.add(
-            w_basis[i].scale(Fraction(n, 4) if exact else n / 4.0))
-    return _ratio(*best, exact), best_vec
+        best_vec = best_vec.add(w_basis[i].scale(Fraction(n, 4)))
+    return Fraction(*best), best_vec
 
 
-def _halving_step(w_basis: Sequence[Seq], start: int, skip: set,
-                  exact: bool) -> Optional[tuple]:
+def _halving_step(w_basis: Sequence[Seq], start: int,
+                  skip: set) -> Optional[tuple]:
     """(s, w) for the least coordinate s >= start outside skip where some
-    w in the span of the RREF basis w_basis has |w(s)| >= |w|_inf / 2
-    (eta slack in float mode), or None.
+    w in the span of the RREF basis w_basis has |w(s)| >= |w|_inf / 2, or
+    None.
 
     The search reads one scan frame: it visits only the frame's columns,
     since every working vector is zero off them.  A coordinate whose
@@ -446,7 +375,6 @@ def _halving_step(w_basis: Sequence[Seq], start: int, skip: set,
     pivots bounds every |w(s)| by that sum times |w|_inf.  Then the best
     basis vector is tried, and last the ratio ascent on the same frame.
     """
-    half = Fraction(1, 2) if exact else 0.5 - DEFAULT_ETA
     frame = _scan_frame(w_basis)
     rows, denom, cols, sups = frame
     for p in range(bisect_left(cols, start - 1), len(cols)):
@@ -458,72 +386,51 @@ def _halving_step(w_basis: Sequence[Seq], start: int, skip: set,
             continue
         best_i = None
         for i, (mag, sup) in enumerate(zip(mags, sups)):
-            if sup and (best_i is None or _above(
-                    mag, sup, mags[best_i], sups[best_i], exact)):
+            if sup and (best_i is None or _above(mag, sup, mags[best_i],
+                                                 sups[best_i])):
                 best_i = i
-        if _ratio(mags[best_i], sups[best_i], exact) >= half:
+        if 2 * mags[best_i] >= sups[best_i]:
             return s, w_basis[best_i]
-        r, vec = _ascend_ratio(w_basis, s, exact, frame)
-        if r >= half:
+        r, vec = _ascend_ratio(w_basis, s, frame)
+        if 2 * r >= 1:
             return s, vec
     return None
 
 
 def sample_basis_inequality(f_list: Sequence[Seq], eps_seq: Sequence,
-                            depth: int, exact: bool, seed: int,
-                            samples: int) -> dict:
+                            depth: int, seed: int, samples: int) -> dict:
     """Worst sampled margin per prefix pair (n, m), n < m:
     |sum^m a f| * prod_{i=n..m-1}(1+eps_i) - |sum^n a f|.
 
     Uses its own seeded rng (independent of construction draws) so a
-    verifier can regenerate the identical sample stream.  Exact-mode
+    verifier can regenerate the identical sample stream.  The
     coefficients are k/16, so a prefix sup is Y / (16 D) for the integer
-    Y = max|.| of a scan row.  When every product
-    c_i = prod_{j<=i}(1+eps_j) = a_i / b_i is a positive Fraction, the
-    margin of (n, m) is (Y_m a_m b_n - Y_n a_n b_m) / (16 D a_n b_m): the
-    least numerator is kept and one Fraction is built per pair.  A float
-    eps (float margins, in exact mode too) and float mode keep the scalar
-    arithmetic.
+    Y = max|.| of a scan row.  With the products
+    c_i = prod_{j<=i}(1+eps_j) = a_i / b_i of the Fraction eps, the margin
+    of (n, m) is (Y_m a_m b_n - Y_n a_n b_m) / (16 D a_n b_m): the least
+    numerator is kept, and one Fraction is built per pair.
     """
     rng = random.Random(seed ^ 0x5EED)
-    one = Fraction(1) if exact else 1.0
-    cumprod = [one]  # cumprod[i] = prod_{j<=i} (1+eps_j), 1-based eps
+    cumprod = [Fraction(1)]  # cumprod[i] = prod_{j<=i} (1+eps_j), 1-based eps
     for i in range(1, depth):
         cumprod.append(cumprod[-1] * (1 + eps_seq[i - 1]))
     rows, denom, _ = scan_rows(f_list[:depth])
     pairs = [(n_lo, m_hi) for m_hi in range(2, depth + 1)
              for n_lo in range(1, m_hi)]
-    integer = exact and all(isinstance(c, Fraction) and c > 0 for c in cumprod)
-    if integer:  # margin numerator Y_m * u - Y_n * w over 16 D w
-        terms = [(cumprod[m - 1].numerator * cumprod[n - 1].denominator,
-                  cumprod[n - 1].numerator * cumprod[m - 1].denominator)
-                 for n, m in pairs]
-    else:
-        terms = [(cumprod[m - 1] / cumprod[n - 1], 1) for n, m in pairs]
-    worst: list = []  # per pair, the least margin (numerator) so far
+    terms = [(cumprod[m - 1].numerator * cumprod[n - 1].denominator,
+              cumprod[n - 1].numerator * cumprod[m - 1].denominator)
+             for n, m in pairs]
+    worst: list = []  # per pair, the least margin numerator so far
     for _ in range(samples):
-        if exact:
-            coeffs = [rng.randint(-16, 16) for _ in range(depth)]
-        else:
-            coeffs = [rng.uniform(-1.0, 1.0) for _ in range(depth)]
+        coeffs = [rng.randint(-16, 16) for _ in range(depth)]
         if all(c == 0 for c in coeffs):
             continue
         sups = scan_prefix_sups(rows, coeffs)
-        if exact and not integer:
-            sups = [Fraction(v, 16 * denom) for v in sups]
         row = [sups[m - 1] * u - sups[n - 1] * w
                for (n, m), (u, w) in zip(pairs, terms)]
         worst = list(map(min, worst, row)) if worst else row
-    if integer:
-        worst = [Fraction(v, 16 * denom * w)
-                 for v, (_, w) in zip(worst, terms)]
-    return dict(zip(pairs, worst))
-
-
-def _family_tol(family: Sequence[Seq]) -> tuple:
-    """(exact, zero tolerance) of a family, read off its first vector."""
-    exact = family[0].exact if family else True
-    return exact, zero_tol(exact)
+    return {pair: Fraction(v, 16 * denom * w)
+            for pair, v, (_, w) in zip(pairs, worst, terms)}
 
 
 def mazur_checks(f: Sequence[Seq], n: Sequence[int], eps_seq: Sequence,
@@ -533,24 +440,22 @@ def mazur_checks(f: Sequence[Seq], n: Sequence[int], eps_seq: Sequence,
     pair (n, m):
     |sum_{k<=m} a_k f_k| * prod_{i=n..m-1} (1+eps_i) >= |sum_{k<=n} a_k f_k|.
     """
-    exact, tol = _family_tol(f)
     checks = []
     for k, (f_k, n_k) in enumerate(zip(f, n, strict=True), start=1):
         sup_fk = norm(f_k, _SUP)
         checks.append(make_check("diag_one", [k], f_k.at(n_k) - 1, "abs_le",
-                                 0, tol))
+                                 0, _TOL))
         checks.append(make_check("norm_window_lower", [k], sup_fk, "ge", 1,
-                                 tol))
+                                 _TOL))
         checks.append(make_check("norm_window_upper", [k], sup_fk, "le", 2,
-                                 tol if exact else 4 * DEFAULT_ETA))
+                                 _TOL))
         for i in range(1, k):
             checks.append(make_check("triangular_zero", [k, i],
-                                     f_k.at(n[i - 1]), "abs_le", 0, tol))
-    margins = sample_basis_inequality(f, eps_seq, len(f), exact, seed,
-                                      samples)
+                                     f_k.at(n[i - 1]), "abs_le", 0, _TOL))
+    margins = sample_basis_inequality(f, eps_seq, len(f), seed, samples)
     for (n_lo, m_hi), margin in sorted(margins.items()):
         checks.append(make_check("basis_inequality_margin", [n_lo, m_hi],
-                                 margin, "ge", 0, tol))
+                                 margin, "ge", 0, _TOL))
     return checks
 
 
@@ -565,7 +470,7 @@ def _first_max(y: list, cols: Sequence[int]) -> Optional[tuple]:
     return cols[p] + 1, 1 if y[p] >= 0 else -1
 
 
-def _net_functionals(rows: Sequence[list], cols: Sequence[int], exact: bool,
+def _net_functionals(rows: Sequence[list], cols: Sequence[int],
                      rng: random.Random):
     """Yield the norming functional of each point of a coefficient net over
     the span of the scan rows: the (coordinate, sign) of the first maximal
@@ -575,37 +480,28 @@ def _net_functionals(rows: Sequence[list], cols: Sequence[int], exact: bool,
     against each older one, e_i + m r e_d for m in +-{1..q} and the grid
     step r = NET_RESOLUTION = 1/q; then, when d > 1, 8 seeded corners with
     coefficients +-1 and 8 seeded points with coefficients k/8 for k in
-    -8..8 (uniform in [-1, 1] in float mode), skipping all-zero ones.
-    Each point is evaluated on a positive multiple of its combination, so
-    exact mode stays on integers: q e_i + m e_d, and k for k/8.  Float
-    mode keeps the float coefficients, so every row has scan_combine's
-    bits for them.  The pair rows are built from precomputed parts, the
-    leading row_i term once per i and m row_d once per m, with
-    scan_combine's operations in its order, so the bits do not change.
+    -8..8, skipping all-zero ones.  Each point is evaluated on a positive
+    multiple of its combination, so it stays on integers: q e_i + m e_d,
+    and k for k/8.  The pair rows are built from precomputed parts, the
+    leading row_i term once per i and m row_d once per m.
     """
     d = len(rows)
-    one = 1 if exact else 1.0
     for row in rows:  # -e_i has e_i's first maximum, with the sign flipped
         point = _first_max(row, cols)
         yield point
         yield None if point is None else (point[0], -point[1])
     q = NET_RESOLUTION.denominator
-    ticks = [m for m in range(-q, q + 1) if m]
-    lead = q if exact else 1.0
-    steps = [[c * v for v in rows[-1]] for c in
-             (ticks if exact else [m * float(NET_RESOLUTION) for m in ticks])]
+    steps = [[m * v for v in rows[-1]] for m in range(-q, q + 1) if m]
     for row in rows[:-1]:
-        zero = 0.0 if isinstance(row[0], float) else 0  # scan_combine's start
-        head = [zero + lead * v for v in row]
+        head = [q * v for v in row]
         for step in steps:
             yield _first_max([a + b for a, b in zip(head, step)], cols)
     extras = 8 if d > 1 else 0
     for _ in range(extras):
-        coeffs = [one * (rng.randint(0, 1) * 2 - 1) for _ in range(d)]
+        coeffs = [rng.randint(0, 1) * 2 - 1 for _ in range(d)]
         yield _first_max(scan_combine(rows, coeffs), cols)
     for _ in range(extras):
-        coeffs = [rng.randint(-8, 8) if exact else rng.uniform(-1.0, 1.0)
-                  for _ in range(d)]
+        coeffs = [rng.randint(-8, 8) for _ in range(d)]
         if any(coeffs):
             yield _first_max(scan_combine(rows, coeffs), cols)
 
@@ -622,18 +518,17 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
     subspace by the new coordinate plus the argmax coordinates of a
     deterministic net over the current span.  The recorded basis
     inequality is sampled afterwards; failure raises NetTooCoarse.
+    Every eps becomes a Fraction, exactly (a float is a rational).
 
-    The working subspace stays an RREF basis.  On an exact fixture whose
-    reduced basis has only zero tail bounds, each step updates it for the
-    constraints the step added (``_impose_zeros``).  A tailed exact
-    fixture and float mode rebuild it from the reduced basis at every
-    step (``_constrained_basis``): an update would change the tail bounds
-    or the float bits, and so the certificate bytes.
+    The working subspace stays an RREF basis, updated at each step for
+    the constraints the step added (``_impose_zeros``).  The tail bound
+    of f_k is sum_i |f_k(P_i)| tb(b_i) over the fixture's reduced basis
+    b_i and its pivots P_i.  It holds because f_k = sum_i f_k(P_i) b_i,
+    and it depends on f_k alone, not on the steps that reached it.
     """
     if not subspace.ambient.is_sup:
         raise ConfigError("mazur construction needs a sup-norm ambient (linf/c0)")
-    eps_seq = [Fraction(e) if subspace.exact and not isinstance(e, float) else e
-               for e in eps_seq]
+    eps_seq = [Fraction(e) for e in eps_seq]
     if not eps_seq or eps_seq[0] != 1:
         raise ConfigError("eps_seq: the first entry must equal 1")
     for i, e in enumerate(eps_seq[1:], start=2):
@@ -644,10 +539,11 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
             f"eps_seq needs at least depth-1 = {depth - 1} entries")
     if depth < 1:
         raise ConfigError("depth must satisfy depth >= 1")
-    exact = subspace.exact
-    tol = zero_tol(exact)
     t_len = subspace.truncation
     rng = random.Random(seed)
+    tails = [(p - 1, b.tail_bound)  # (0-based pivot, tail) of each tailed b_i
+             for p, b in zip(subspace.pivots, subspace.reduced_basis)
+             if b.tail_bound]
 
     n_list: list[int] = []
     f_list: list[Seq] = []
@@ -656,7 +552,6 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
     constraints: list[int] = []
     constraint_set: set[int] = set()
     w_basis = subspace.reduced_basis  # RREF: pivot coefficients are read off
-    incremental = exact and not any(b.tail_bound for b in w_basis)
 
     for k in range(1, depth + 1):
         if not w_basis:
@@ -664,14 +559,15 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
                 f"working subspace exhausted after {k - 1} of {depth} steps "
                 f"({len(constraints)} zero constraints)")
         start = n_list[-1] + 1 if n_list else 1
-        found = _halving_step(w_basis, start, constraint_set, exact)
+        found = _halving_step(w_basis, start, constraint_set)
         if found is None:
             raise SearchExhausted(
                 f"no coordinate in [{start}, {t_len}] admits a working-subspace "
                 "vector carrying half its sup norm; truncation too small")
         n_k, witness = found
-        pivot_val = witness.at(n_k)
-        f_k = witness.scale((Fraction(1) if exact else 1.0) / pivot_val)
+        f_k = witness.scale(Fraction(1) / witness.at(n_k))
+        f_k = f_k.with_tail(sum((abs(f_k.coords[p]) * tb for p, tb in tails),
+                                Fraction(0)))
         n_list.append(n_k)
         f_list.append(f_k)
         done = len(constraints)
@@ -681,7 +577,7 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
         net_count = 0
         if k >= 2:
             rows, _, cols = scan_rows(f_list)
-            for point in _net_functionals(rows, cols, exact, rng):
+            for point in _net_functionals(rows, cols, rng):
                 net_count += 1
                 if point is None:
                     continue
@@ -692,10 +588,7 @@ def mazur_basic_sequence(subspace: Subspace, eps_seq: Sequence, depth: int,
                     constraint_set.add(best_j)
         net_sizes.append(net_count)
         functional_log.append(tuple(sorted(set(step_functionals))))
-        if incremental:
-            w_basis = _impose_zeros(w_basis, constraints[done:])
-        else:
-            w_basis = _constrained_basis(subspace, constraints, tol)
+        w_basis = _impose_zeros(w_basis, constraints[done:])
 
     checks = mazur_checks(f_list, n_list, eps_seq, seed, samples)
     for check in checks:
@@ -754,23 +647,22 @@ def cascade_checks(h: Sequence[Seq], t: Sequence[int], cases: Sequence[int],
     """The cascade ledger: per level |h_k| within its case bound,
     h_k(t_k) = 1 and h_k(t_j) = 0 for j < k; then the post-horizon
     envelope, each h_k small at every later diagonal."""
-    _, tol = _family_tol(h)
     checks = []
     for level, (h_k, t_k, case) in enumerate(zip(h, t, cases, strict=True),
                                              start=1):
         checks.append(make_check("case_bound", [level, case], norm(h_k, _SUP),
-                                 "le", CASE_BOUNDS[case], tol))
+                                 "le", CASE_BOUNDS[case], _TOL))
         checks.append(make_check("cascade_diag_one", [level],
-                                 h_k.at(t_k) - 1, "abs_le", 0, tol))
+                                 h_k.at(t_k) - 1, "abs_le", 0, _TOL))
         for j, t_j in enumerate(t[:level - 1], start=1):
             checks.append(make_check("cascade_prefix_zero", [level, j],
-                                     h_k.at(t_j), "abs_le", 0, tol))
+                                     h_k.at(t_j), "abs_le", 0, _TOL))
     for k, h_k in enumerate(h, start=1):
         later = t[k:]
         if later:
             envelope = max(abs(h_k.at(t_j)) for t_j in later)
             checks.append(make_check("cascade_envelope", [k], envelope, "le",
-                                     2 * stab_tol, tol))
+                                     2 * stab_tol, _TOL))
     return checks
 
 
@@ -784,8 +676,7 @@ def build_cascade(source: MazurCert, m: Sequence[int], depth: int,
     restriction can consume indices faster than two per level, so the
     cascade stops early instead of failing once the floor is reached.
     """
-    exact, tol = _family_tol(source.f)
-    if exact and not isinstance(stab_tol, Fraction):
+    if not isinstance(stab_tol, Fraction):
         stab_tol = Fraction(str(stab_tol))
     if min_depth is None:
         min_depth = depth
@@ -817,7 +708,7 @@ def build_cascade(source: MazurCert, m: Sequence[int], depth: int,
             raise
         bound = CASE_BOUNDS[case]
         sup_h = norm(h, _SUP)
-        if sup_h > bound + tol:
+        if sup_h > bound:
             raise CaseBoundViolated(
                 f"cascade level {level} case {case}: |h| = {float(sup_h):.6g} "
                 f"exceeds bound {bound}; stab_tol too loose")
@@ -864,33 +755,32 @@ def sup_zeroing_checks(h_by_t: dict, s: Sequence[int], stages: Sequence[list],
 
     The emitter passes the last stages as l, verify the stored l, so a
     tampered coordinate is named by its zero_pattern entry."""
-    exact, tol = _family_tol(l)
     checks = []
     for n_sel in range(1, len(s)):
         total = sum(abs(h_by_t[s_i].at(s[n_sel])) for s_i in s[:n_sel])
         checks.append(make_check("selection_sum", [n_sel + 1], total, "le",
-                                 eps / (2 ** (n_sel + 1) * 8), tol))
-    delta = Fraction(0) if exact else 0.0
+                                 eps / (2 ** (n_sel + 1) * 8), _TOL))
+    delta = Fraction(0)
     for k, (s_k, path, l_k) in enumerate(zip(s, stages, l, strict=True),
                                          start=1):
         for step, (cur, nxt) in enumerate(zip(path, path[1:]), start=1):
             checks.append(make_check("step_norm", [k, step],
                                      norm(nxt.sub(cur), _SUP),
-                                     "le", eps / 2 ** (k + step), tol))
+                                     "le", eps / 2 ** (k + step), _TOL))
         res = norm(path[-1].sub(path[0]), _SUP)
         delta = delta + res / norm(path[0], _SUP)
         checks.append(make_check("residual", [k], res, "le", eps / 2 ** k,
-                                 tol))
+                                 _TOL))
         checks.append(make_check("sup_bound", [k], norm(l_k, _SUP), "le", 9,
-                                 tol))
+                                 _TOL))
         checks.append(make_check("diag_one", [k], l_k.at(s_k) - 1, "abs_le",
-                                 0, tol))
+                                 0, _TOL))
         for j, s_j in enumerate(s, start=1):
             if j != k:
                 checks.append(make_check("zero_pattern", [k, j], l_k.at(s_j),
-                                         "abs_le", 0, tol))
+                                         "abs_le", 0, _TOL))
     checks.append(make_check("normalized_delta_le_eps", [], delta, "le", eps,
-                             tol))
+                             _TOL))
     checks.append(make_check("perturbation_gate", [], 2 * k_est * eps, "lt",
                              1, 0))
     return checks
@@ -920,15 +810,14 @@ def construct_sup_zeroed_sequence(subspace: Subspace, depth: int, *,
         raise ConfigError(
             f"truncation must satisfy T >= 4*depth "
             f"(T={subspace.truncation}, depth={depth})")
-    exact = subspace.exact
-    if exact and not isinstance(stab_tol, Fraction):
+    if not isinstance(stab_tol, Fraction):
         stab_tol = Fraction(str(stab_tol))
 
     cascade_depth = depth + CASCADE_PAD
     if mazur_cert is None:
         mazur_depth = 2 * cascade_depth + MAZUR_PAD
         mazur_cert = mazur_basic_sequence(
-            subspace, default_eps_seq(mazur_depth, exact), mazur_depth,
+            subspace, default_eps_seq(mazur_depth), mazur_depth,
             seed=seed, samples=samples)
     m = list(m_indices) if m_indices is not None else list(mazur_cert.n)
     # each level consumes 2 indices and must leave >= 4 stabilized ones
@@ -942,10 +831,9 @@ def construct_sup_zeroed_sequence(subspace: Subspace, depth: int, *,
 
     k_est = basis_constant_lower_bound(cascade.h, subspace.ambient,
                                        trials=64, seed=seed)
-    one = Fraction(1) if exact else 1.0
     if k_est < 1:
-        k_est = one
-    eps = min((one / (4 * k_est)), (one / 64))
+        k_est = Fraction(1)
+    eps = min(1 / (4 * k_est), Fraction(1, 64))
 
     h_by_t = {tj: h for tj, h in zip(cascade.t, cascade.h)}
     t_all = list(cascade.t)

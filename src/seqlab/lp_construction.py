@@ -625,8 +625,9 @@ def basis_constant_lower_bound(family: Sequence[Seq], space: AmbientSpace,
     |sum_{k<=m} a_k f_k|, and refines the best sample by coordinate
     descent.  Every reported value is attained, hence a true lower
     bound; it can only underestimate the supremum.  Under the sup norm
-    the prefix norms come from scan rows, all scaled by one common
-    positive multiple, which the ratios do not see.
+    the family is exact, as the sup-norm spaces are, and the prefix norms
+    come from its scan rows, all scaled by one common positive multiple,
+    which the ratios do not see.
     """
     if not family:
         raise ConfigError("basis_constant_lower_bound needs a nonempty family")

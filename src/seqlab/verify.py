@@ -21,7 +21,9 @@ functionals and f.
 Tolerances: every zero and rerun tolerance is 0 in exact mode and
 ``scalar.DEFAULT_ETA`` in float mode, never a value read from the
 certificate; each level that stores eta is checked against the constant
-(eta_matches).
+(eta_matches).  The sup-norm spaces are exact only: a mazur, cascade,
+sup_zeroing or c0 density certificate holding a float vector at any
+level, or a float eps_seq entry, is malformed.
 
 Numerics: each stored lp vector is lifted once to an exact rational
 ``Seq`` (a stored double is a rational), so ``core.norm`` and
@@ -304,13 +306,26 @@ def _check_residuals(doc, checks, ctx: _Ctx, tol) -> None:
 
 # -- sup-norm family --------------------------------------------------------
 
+def _exact(seqs: list, what: str) -> list:
+    """seqs, stored vectors of a sup-norm level.  The sup-norm spaces are
+    exact only, so a float vector is malformed: no sup-norm check takes a
+    float tolerance."""
+    if not all(v.exact for v in seqs):
+        raise MalformedCertificate(
+            f"sup-norm certificates are exact only: {what} holds floats")
+    return seqs
+
+
 def _verify_mazur(doc, ctx: _Ctx):
     require(doc, "space", "eps_seq", "n", "f", "eta", "seed", "samples",
             "checks")
     _check_eta(doc, ctx)
     eps_seq = [_scalar(e) for e in doc["eps_seq"]]
     n_list = [int(v) for v in doc["n"]]
-    fs = [Seq.from_json(o) for o in doc["f"]]
+    fs = _exact([Seq.from_json(o) for o in doc["f"]], "the Mazur family f")
+    if any(isinstance(e, float) for e in eps_seq):
+        raise MalformedCertificate(
+            "sup-norm certificates are exact only: eps_seq holds floats")
     increasing = all(a < b for a, b in zip(n_list, n_list[1:]))
     ctx.check("n_increasing", [], 0 if increasing else 1, "eq", 0, 0)
     ctx.check("eps_seq_head", [], eps_seq[0], "eq", 1, 0)
@@ -330,7 +345,7 @@ def _verify_cascade(doc, ctx: _Ctx):
     stab_tol = _scalar(doc["stab_tol"])
     m = [int(v) for v in doc["m"]]
     t_list = [int(v) for v in doc["t"]]
-    hs = [Seq.from_json(o) for o in doc["h"]]
+    hs = _exact([Seq.from_json(o) for o in doc["h"]], "the cascade h")
     cases = [int(entry["case"]) for entry in doc["case_trace"]]
     n_set = set(n_list)
     ctx.check("m_subset_of_n", [], 0 if all(v in n_set for v in m) else 1,
@@ -344,8 +359,8 @@ def _verify_cascade(doc, ctx: _Ctx):
         case, h, t_idx, pool, l1, l2 = cascade_level(f_by_index, pool, stab_tol)
         ctx.check("case_matches", [level], case, "eq", case_k, 0)
         ctx.check("t_matches", [level], t_idx, "eq", t_k, 0)
-        ctx.check("h_matches", [level], norm(h_k.sub(h), _SUP), "abs_le", 0,
-                  zero_tol(h_k.exact))
+        ctx.check("h_matches", [level], norm(h_k.sub(h), _SUP), "abs_le",
+                  0, 0)
         rerun = {"L1": scalar_to_json(l1), "L2": scalar_to_json(l2)}
         same = (trace == dict(rerun, case=case, t=t_idx,
                               bound=scalar_to_json(CASE_BOUNDS[case]))
@@ -362,7 +377,7 @@ def _verify_sup_zeroing(doc, ctx: _Ctx):
     hs, t_list = _verify_cascade(doc["cascade"], ctx.sub("cascade"))
     _check_eta(doc, ctx)
     s_list = [int(v) for v in doc["s"]]
-    ls = [Seq.from_json(o) for o in doc["l"]]
+    ls = _exact([Seq.from_json(o) for o in doc["l"]], "the family l")
     depth_ok = int(doc["depth"]) == len(s_list) == len(ls)
     ctx.check("depth_matches", [], 0 if depth_ok else 1, "eq", 0, 0)
     h_by_t = dict(zip(t_list, hs))
@@ -370,11 +385,10 @@ def _verify_sup_zeroing(doc, ctx: _Ctx):
     checks = sup_zeroing_checks(h_by_t, s_list, stages, ls,
                                 _scalar(doc["eps"]), _scalar(doc["k_est"]))
     ctx.ledger(doc["checks"], checks)
-    rerun_tol = zero_tol(ls[0].exact)
     for k, (path, l_k) in enumerate(zip(stages, ls), start=1):
         ctx.check("l_matches_recursion", [k], norm(l_k.sub(path[-1]), _SUP),
-                  "abs_le", 0, rerun_tol)
-    _check_residuals(doc, checks, ctx, rerun_tol)
+                  "abs_le", 0, 0)
+    _check_residuals(doc, checks, ctx, 0)
     return ls, s_list
 
 
@@ -420,6 +434,7 @@ def _verify_density(doc, ctx: _Ctx):
     elif doc["path"] == "c0":
         require(doc, "sup_zeroing", "selected", "series_sum")
         nested = doc["sup_zeroing"]
+        _exact([f, result], "the input or result")
         ls, s = _verify_sup_zeroing(nested, ctx.sub("sup_zeroing"))
         space = AmbientSpace.from_json(nested["space"])
         checks, dist, series = c0_density_checks(space, f, result, s, eps, tol)

@@ -288,9 +288,8 @@ def density_repair_c0(subspace: Subspace, f: Seq, eps,
         raise ZeroVector("density repair needs a nonzero f")
     if not subspace.ambient.is_sup:
         raise ConfigError("c0 density repair needs a sup-norm ambient")
-    exact = subspace.exact
-    tol = zero_tol(exact)
-    eps = Fraction(str(eps)) if exact and not isinstance(eps, Fraction) else eps
+    if not isinstance(eps, Fraction):
+        eps = Fraction(str(eps))
 
     need = 2 * (depth + CASCADE_PAD) + 4
     mazur = mazur_cert
@@ -301,7 +300,7 @@ def density_repair_c0(subspace: Subspace, f: Seq, eps,
         if mazur_depth is None:
             mazur_depth = need + depth + 8
         mazur = mazur_basic_sequence(
-            subspace, default_eps_seq(mazur_depth, exact), mazur_depth,
+            subspace, default_eps_seq(mazur_depth), mazur_depth,
             seed=seed, samples=60)
     # greedy: the mazur indices where |f| is smallest, re-sorted increasing
     ranked = sorted(mazur.n, key=lambda j: (abs(f.at(j)), j))
@@ -317,7 +316,7 @@ def density_repair_c0(subspace: Subspace, f: Seq, eps,
         m_indices=chosen)
     g = c0_repair(f, cert.s, cert.l)
     checks, dist, series = c0_density_checks(subspace.ambient, f, g, cert.s,
-                                             eps, tol)
+                                             eps, Fraction(0))
     report = {
         "path": "c0",
         "eps": scalar_to_json(eps),

@@ -49,23 +49,20 @@ def scaled_unit_c0_subspace(dim: int = 36, t: int = 96, ratio=Fraction(1, 2)):
 
 
 def tailed_linf_subspace(dim: int = 24, t: int = 120, *,
-                         tail_scale=Fraction(1, 5), exact: bool = True,
+                         tail_scale=Fraction(1, 5),
                          constant_tail_from: int = 60):
     """linf fixture: unit vectors plus two bounded-tail generators (one
     geometric, one constant) to diversify the cascade cases."""
-    gens = [Seq.unit(j, t, exact) for j in range(1, dim + 1)]
+    gens = [Seq.unit(j, t, True) for j in range(1, dim + 1)]
     geo = [Fraction(0)] * t
     r = Fraction(3, 5)
     for j in range(dim + 1, t + 1):
         geo[j - 1] = tail_scale * r ** (j - dim)
-    gens.append(Seq(tuple(geo), exact, Fraction(0)))
+    gens.append(Seq(tuple(geo), True, Fraction(0)))
     const = [Fraction(0)] * t
     for j in range(constant_tail_from, t + 1):
         const[j - 1] = tail_scale
-    gens.append(Seq(tuple(const), exact, Fraction(0)))
-    if not exact:
-        gens = [Seq(tuple(float(v) for v in g.coords), False, 0.0)
-                for g in gens]
+    gens.append(Seq(tuple(const), True, Fraction(0)))
     return Subspace.build(AmbientSpace.linf(), gens)
 
 

@@ -154,6 +154,21 @@ class TestConstructLp:
         assert code == 0
         assert json.loads(out)["space"] == {"kind": "lp", "p": "3/1"}
 
+    def test_space_override_serves_float_mode_on_a_sup_norm_fixture(
+            self, tmp_path, capsys):
+        """A linf fixture run as l2 is built in l2, so float mode, refused
+        for linf itself, serves it."""
+        fix, out_path = linf_fixture(tmp_path), str(tmp_path / "l2.json")
+        code, _, err = run(capsys, "construct-lp", "--fixture", fix,
+                           "--space", "lp", "--p", "2", "--eps", "1/600",
+                           "--depth", "3", "--mode", "float", "--out",
+                           out_path)
+        assert code == 0, err
+        doc = json.load(open(out_path))
+        assert doc["space"] == {"kind": "lp", "p": "2/1"}
+        assert doc["mode"] == "float"
+        assert run(capsys, "verify", out_path)[0] == 0
+
     def test_jobs_multi_fixture(self, tmp_path, capsys):
         f1 = l2_fixture(tmp_path)
         f2 = write(tmp_path, "l2b.json", json.load(open(f1)))
@@ -349,6 +364,20 @@ class TestConstructLinfAndWitness:
                            "--depth", "3", "--mode", "exact")
         assert code == 1
         assert "exact mode" in err
+
+    @pytest.mark.parametrize("command,fixture,space", [
+        ("construct-linf", linf_fixture, "linf"),
+        ("density", c0_fixture, "c0")])
+    def test_float_mode_rejected_for_sup_norm(self, tmp_path, capsys,
+                                              command, fixture, space):
+        args = ["--fixture", fixture(tmp_path), "--depth", "4"]
+        if command == "density":
+            args += ["--eps", "1/20"]
+        code, out, err = run(capsys, command, *args, "--mode", "float")
+        assert code == 1 and out == ""
+        assert err == (f"config error: {space} spaces are exact only: float "
+                       "generators are refused (use mode exact or auto)\n")
+        assert run(capsys, command, *args, "--mode", "exact")[0] == 0
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,13 @@
 """Certificate bytes are the contract: these sha256 digests pin the
-canonical bytes of three sup-norm certificates (the acceptance suite's
-test_11 sup_zeroing and c0 density scenarios, and the same sup_zeroing
-in float mode), of four lp and lineability certificates (the l2
-zeroing scenario of test_11, a dominance certificate at eps = 1/100, an
-lp density repair and the test_11 lineability certificate) and of the
-test_11 witness.  GOLDEN_NET pins four Mazur certificates on dense
-fixtures, GOLDEN_TAILED two on fixtures with generator tails, and
-GOLDEN_SURVEY the Mazur outcomes of the whole 60-fixture survey.  A
+canonical bytes of two sup-norm certificates (the acceptance suite's
+test_11 sup_zeroing and c0 density scenarios), of four lp and
+lineability certificates (the l2 zeroing scenario of test_11, a
+dominance certificate at eps = 1/100, an lp density repair and the
+test_11 lineability certificate) and of the test_11 witness.  GOLDEN_NET
+pins two Mazur certificates on dense fixtures, GOLDEN_TAILED two on
+fixtures with generator tails, and GOLDEN_SURVEY the Mazur outcomes of
+the whole 60-fixture survey.  The sup-norm pins are exact, as the
+sup-norm spaces are; the float ones went with float mode there.  A
 refactor that changes a digest changed what seqlab emits; it must say
 so and update the digest deliberately.
 
@@ -38,7 +39,6 @@ from seqlab.lp_construction import window_blocks
 
 GOLDEN = {
     "sup_zeroing": "6c11d615c26e33aa3c076f045459bf3742068f9e919c69d17f02962420b6f985",
-    "sup_zeroing_float": "ec9a991c4d0da8b116c1bc61a44d7483bd5e542327e5992f3134538ce0101396",
     "density": "a11506d1eadce209ddf3fe96f8c3e2a179069f2ec762f26cd8d8485b3a535367",
     "zeroing": "d81841841a342eed6f608aa1fdae7be1840367f818b21d08bd571b6c6dad698a",
     "dominance": "97c0ce67f2f99d23727e10429faef2bcad118bad4fbd9d268411f1a886d58872",
@@ -50,7 +50,6 @@ GOLDEN = {
 #: the schema-2 digests, computed before the schema-3 change
 GOLDEN_SCHEMA_2 = {
     "sup_zeroing": "ee1e5050948f4a7571a613114257daba47529b9ee1304c71aa70ab69756e9556",
-    "sup_zeroing_float": "5df17f24cbbe83d3fb776a521946cfc67f89d75e4b4386a5e9d2700f2e12ece9",
     "density": "72654df0dd27ac8c9acc93633474bd8bdca4cdb620149bae1eaa216db8b7c416",
     "zeroing": "aeafc600603ecdebbb43d5c05ca34c1443928482863e8d064136876626c81f81",
     "dominance": "50f7487e175166059daf11321535392c279c2f345903447cf8295c8a2f394998",
@@ -61,7 +60,6 @@ GOLDEN_SCHEMA_2 = {
 #: the schema-1 digests, computed before the schema-2 change
 GOLDEN_SCHEMA_1 = {
     "sup_zeroing": "f010bafbfcd19e87d6f09cc022c7b0c68398cd5568257f4fb2a1356ecf9f0a0d",
-    "sup_zeroing_float": "02aabeb0d39711fc52348f016943df26bf50e9f9aa1eee8f74aa45dd6d032595",
     "density": "022a344be53351993f9647ddab27118399a857bf56156b28e6b6ec7f61d03143",
     "zeroing": "4ebbd743219fe323b9177293c67b8dc5deb76f94453209459473b4e89396a535",
     "dominance": "a69c906dabcf55303f54be909b7dfa9b7b49a693e126c48dbb57f40ee760a31d",
@@ -71,15 +69,13 @@ GOLDEN_SCHEMA_1 = {
 #: Mazur certificates on two dense survey fixtures where the net adds
 #: zeroed coordinates beyond the n_k, which no certificate above does,
 #: computed before the net was evaluated from its point structure:
-#: (seed, mode) -> digest.  They pin bytes, not soundness: the sampled
-#: basis inequality these certificates pass is not a proof, and a
-#: certified Mazur step (exact norming sets instead of the net) will
-#: change them on purpose.
+#: (seed, mode) -> digest, mode "exact", as every sup-norm mode is.  They
+#: pin bytes, not soundness: the sampled basis inequality these
+#: certificates pass is not a proof, and a certified Mazur step (exact
+#: norming sets instead of the net) will change them on purpose.
 GOLDEN_NET = {
     (2032, "exact"): "fde1e2262a14988a34626a24fe03ff9e7c42330f5b9f01807d3ba2e7ad6da69c",
-    (2032, "float"): "9ab66ff9d78bbb19b4c185d268fce72343d485cc97502e48ed26e6452f8b723a",
     (2002, "exact"): "6776366dba67c5f70449431007ecdc34a7fa045cd331e6da4a64c4878e9fa789",
-    (2002, "float"): "675ca4a6e97ee359cb7cc366f7b581671a49d33d7b094155612aefe5fc665d42",
 }
 
 #: seed -> (space, truncation, depth, zero constraints the net adds)
@@ -87,13 +83,22 @@ NET_FIXTURES = {2032: ("linf", 42, 4, 17), 2002: ("c0", 40, 5, 16)}
 
 #: exact Mazur certificates on two fixtures of the tailed recipe, whose
 #: geometric generators give the reduced basis nonzero tail bounds: the
-#: only sup-norm pins with generator tails.  Computed while every step
-#: still rebuilt its working subspace from the reduced basis; a working
-#: subspace updated one constraint at a time has the same coordinates
-#: but other tail bounds here, so these digests fail under it.
+#: only sup-norm pins with generator tails.  Re-pinned when each f_k's
+#: tail bound became the history-free sum_i |f_k(P_i)| tb(b_i) over the
+#: reduced basis: the digests before, computed while every step rebuilt
+#: its working subspace from the reduced basis, were 665d3441... (7) and
+#: cbe97f74... (12).  Two of the six tails of seed 7 and one of the four
+#: of seed 12 fell; the others are equal.
 GOLDEN_TAILED = {
-    7: "665d3441f8b3fd6b237a9125025bd853781cfdfae5fd9109af30b2354e063cfe",
-    12: "cbe97f7497fce949e1cc1288f011fdbc268b3bfda3b813722c970752c6aac1a6",
+    7: "a7a7f19ff92de6466b1c74e1e3aa3f9df3b8bf4ed169cbe2adfbe136aa369803",
+    12: "3e125eb29e1537c496c971c4fa20d520305d16d5cf34c1be45e4880753e5135a",
+}
+
+#: the same certificates with every f tail bound removed, computed while
+#: every step rebuilt its working subspace: the re-pin changed only tails
+GOLDEN_TAILED_UNTAILED = {
+    7: "803c050cf566ade5d48b339eca390fc5e8c51ef30c81f64826197a175c00378a",
+    12: "2d26fd28c2ce5ffcd18233bd750ae8128e8e6eaf88a0e81baeb7dd90c817644a",
 }
 
 #: seed -> (space, truncation, depth)
@@ -157,9 +162,8 @@ def _scenario(name, tmp_path):
     fix.write_text(json.dumps({
         "space": {"kind": "linf"}, "truncation": 120,
         "generators": [{"kind": "unit", "index": j} for j in range(1, 25)]}))
-    mode = "float" if name == "sup_zeroing_float" else "auto"
     return Scenario(name="s", pipeline="linf", fixture=str(fix),
-                    params=dict(LINF_PARAMS, mode=mode))
+                    params=dict(LINF_PARAMS))
 
 
 def _digest(doc) -> str:
@@ -243,9 +247,8 @@ def test_net_adding_constraints_bytes_pinned(seed, mode):
     space, t, want_depth, added = NET_FIXTURES[seed]
     assert (obj["space"]["kind"], obj["truncation"], depth) == \
         (space, t, want_depth)
-    exact = mode == "exact"
     sub = subspace_from_json(obj, mode=mode)
-    cert = mazur_basic_sequence(sub, default_eps_seq(depth, exact), depth,
+    cert = mazur_basic_sequence(sub, default_eps_seq(depth), depth,
                                 seed=0, samples=60)
     assert len(cert.zeroed_coords) - len(cert.n) == added
     assert _digest(cert.as_json()) == GOLDEN_NET[(seed, mode)]
@@ -287,9 +290,13 @@ def test_tailed_mazur_bytes_pinned(seed):
         TAILED_FIXTURES[seed]
     sub = subspace_from_json(obj, mode="exact")
     assert any(b.tail_bound for b in sub.reduced_basis)
-    cert = mazur_basic_sequence(sub, default_eps_seq(depth, True), depth,
+    cert = mazur_basic_sequence(sub, default_eps_seq(depth), depth,
                                 seed=0, samples=60)
-    assert _digest(cert.as_json()) == GOLDEN_TAILED[seed]
+    doc = cert.as_json()
+    assert _digest(doc) == GOLDEN_TAILED[seed]
+    for f in doc["f"]:
+        del f["tail_bound"]
+    assert _digest(doc) == GOLDEN_TAILED_UNTAILED[seed]
 
 
 #: one digest of the 60-fixture survey (seeds 2000-2059, ``_survey_fixture``)
@@ -307,12 +314,13 @@ def _survey_outcomes():
         obj, depth = _survey_fixture(seed)
         sub = subspace_from_json(obj, mode="exact")
         try:
-            cert = mazur_basic_sequence(sub, default_eps_seq(depth, True),
+            cert = mazur_basic_sequence(sub, default_eps_seq(depth),
                                         depth, samples=60)
         except SeqLabError as exc:  # the error class is the outcome
             out.append([seed, type(exc).__name__])
             continue
-        out.append([seed, list(cert.n), [v.as_json()["coords"] for v in cert.f],
+        out.append([seed, list(cert.n),
+                    [v.as_json()["coords"] for v in cert.f],
                     list(cert.zeroed_coords)])
     return out
 

@@ -8,29 +8,28 @@ from hypothesis import strategies as st
 
 from seqlab import linalg
 from seqlab.certificates import SCHEMA_VERSION
-from seqlab.core import AmbientSpace, Seq, Subspace, combine, norm
+from seqlab.core import (AmbientSpace, Seq, Subspace, combine, norm,
+                         subspace_from_json)
 from seqlab.errors import (
     CaseBoundViolated,
     ConfigError,
     DimensionExhausted,
     InsufficientStabilization,
     NetTooCoarse,
-    ZeroVector,
 )
 from seqlab.lineability import geometric_generator
 from seqlab.linf_construction import (
     MazurCert,
-    _constrained_basis,
     _impose_zeros,
     build_cascade,
     construct_sup_zeroed_sequence,
     default_eps_seq,
     extract_stabilizing_subsequence,
-    halving_support,
     mazur_basic_sequence,
     sample_basis_inequality,
 )
 from conftest import tailed_linf_subspace, unit_subspace
+from test_golden import _tailed_fixture
 from test_linalg import fraction_rref
 
 LINF = AmbientSpace.linf()
@@ -53,32 +52,6 @@ def synth_mazur(rows: dict, n_list, t: int = 40) -> MazurCert:
                      functionals=((),) * len(n_list),
                      zeroed_coords=tuple(n_list), checks=(), seed=0,
                      samples=0)
-
-
-class TestHalvingSupport:
-    def test_max_at_first(self):
-        assert halving_support(fr(1, Fraction(1, 4), 0)) == 1
-
-    def test_first_small_coordinate_skipped(self):
-        # |f(1)| = 1/4 < 1/2 = |f|/2, so the minimal halving index is 3
-        assert halving_support(fr(Fraction(1, 4), 0, 1, 0)) == 3
-
-    def test_zero_vector(self):
-        with pytest.raises(ZeroVector):
-            halving_support(fr(0, 0, 0))
-
-    def test_definition_randomized(self):
-        import random
-        rng = random.Random(11)
-        for _ in range(100):
-            coords = [Fraction(rng.randint(-8, 8), 8) for _ in range(10)]
-            if all(c == 0 for c in coords):
-                continue
-            f = Seq(tuple(coords), True, Fraction(0))
-            s = halving_support(f)
-            sup = max(abs(c) for c in coords)
-            assert abs(f.at(s)) >= sup / 2
-            assert all(abs(f.at(j)) < sup / 2 for j in range(1, s))
 
 
 class TestMazur:
@@ -115,7 +88,7 @@ class TestMazur:
     def test_net_too_coarse_wiring(self, coord_linf_30, monkeypatch):
         import seqlab.linf_construction as mod
 
-        def broken(f_list, eps_seq, depth, exact, seed, samples):
+        def broken(f_list, eps_seq, depth, seed, samples):
             return {(1, 2): Fraction(-1)}
 
         monkeypatch.setattr(mod, "sample_basis_inequality", broken)
@@ -130,7 +103,7 @@ class TestMazur:
         f2 = Seq(tuple([Fraction(0), Fraction(1)] + [Fraction(0)] * 7
                        + [Fraction(-2)]), True, Fraction(0))
         margins = sample_basis_inequality(
-            [f1, f2], [Fraction(1, 100)], 2, True, seed=0, samples=200)
+            [f1, f2], [Fraction(1, 100)], 2, seed=0, samples=200)
         assert margins[(1, 2)] < 0
 
 
@@ -324,21 +297,21 @@ def exact_sup_subspace(draw, tailed=True):
 
 
 def _assert_same_basis(got, want):
-    """Equal RREF bases: coordinates, tail values and types, supports."""
+    """Equal RREF bases on coordinates and supports; tail bounds are not
+    compared, since they depend on the steps that reached a basis."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.coords == w.coords
         assert all(type(v) is Fraction for v in g.coords)
-        assert g.tail_bound == w.tail_bound
-        assert type(g.tail_bound) is type(w.tail_bound)
         assert g.nonzero == w.nonzero == tuple(
             j for j, v in enumerate(g.coords) if v != 0)
         assert g.exact
 
 
 def _t_wide_constrained_basis(subspace, constraints):
-    """The reduction the exact path replaced: combine the nullspace
-    coefficients first, then reduce the T-wide vectors."""
+    """RREF basis of {f in span(V): f(j)=0 for j in constraints}, rebuilt
+    from the reduced basis of V by the Fraction elimination: combine the
+    nullspace coefficients first, then reduce the T-wide vectors."""
     basis = subspace.reduced_basis
     if not basis:  # a zero fixture: no coefficient rows to reduce
         return ()
@@ -347,55 +320,61 @@ def _t_wide_constrained_basis(subspace, constraints):
     if not coeff_rows:
         return ()
     vs = [combine(basis, c) for c in coeff_rows]
-    rows, tails, _ = linalg.rref([list(v.coords) for v in vs], Fraction(0),
-                                 [v.tail_bound for v in vs])
+    with mock.patch.object(linalg, "rref", fraction_rref):
+        rows, tails, _ = linalg.rref([list(v.coords) for v in vs],
+                                     Fraction(0), [v.tail_bound for v in vs])
     return tuple(Seq(tuple(r), True, tb) for r, tb in zip(rows, tails))
+
+
+def _constraint_lists(sub, gens, data, max_size):
+    """Constraints drawn from every coordinate, the pivot columns and the
+    all-zero columns, repeats included."""
+    t = len(gens[0])
+    zero_cols = [j for j in range(1, t + 1)
+                 if not any(g.at(j) for g in gens)]
+    pools = [st.integers(1, t)]
+    if sub.pivots:
+        pools.append(st.sampled_from(sub.pivots))
+    if zero_cols:
+        pools.append(st.sampled_from(zero_cols))
+    return data.draw(st.lists(st.one_of(*pools), max_size=max_size))
 
 
 class TestConstrainedBasis:
     @given(fixture=exact_sup_subspace(), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_exact_equals_t_wide_reduction(self, fixture, data):
+        """A whole list of constraints at once, as a Mazur step passes its
+        new ones, gives the T-wide Fraction reduction's basis."""
         space, gens = fixture
-        t = len(gens[0])
-        constraints = data.draw(st.lists(st.integers(1, t), max_size=4,
-                                         unique=True))
         sub = Subspace.build(space, gens)
-        got = _constrained_basis(sub, constraints, Fraction(0))
         with mock.patch.object(linalg, "rref", fraction_rref):
             ref_sub = Subspace.build(space, gens)
-            want = _t_wide_constrained_basis(ref_sub, constraints)
         assert sub.reduced_basis == ref_sub.reduced_basis
         assert sub.pivots == ref_sub.pivots
-        _assert_same_basis(got, want)
+        constraints = _constraint_lists(sub, gens, data, 4)
+        _assert_same_basis(_impose_zeros(sub.reduced_basis, constraints),
+                           _t_wide_constrained_basis(ref_sub, constraints))
 
-    @given(fixture=exact_sup_subspace(tailed=False), data=st.data())
+    @given(fixture=exact_sup_subspace(), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_incremental_update_equals_rebuild(self, fixture, data):
         """One constraint at a time, the update gives the rebuild's basis,
-        on pivot columns, all-zero columns and repeated constraints."""
+        on tailed and untailed fixtures, pivot columns, all-zero columns
+        and repeated constraints."""
         space, gens = fixture
-        t = len(gens[0])
         sub = Subspace.build(space, gens)
-        zero_cols = [j for j in range(1, t + 1)
-                     if not any(g.at(j) for g in gens)]
-        pools = [st.integers(1, t)]
-        if sub.pivots:
-            pools.append(st.sampled_from(sub.pivots))
-        if zero_cols:
-            pools.append(st.sampled_from(zero_cols))
-        constraints = data.draw(st.lists(st.one_of(*pools), max_size=7))
+        constraints = _constraint_lists(sub, gens, data, 7)
         w_basis = sub.reduced_basis
         for k, j in enumerate(constraints, start=1):
             w_basis = _impose_zeros(w_basis, [j])
-            want = _constrained_basis(sub, constraints[:k], Fraction(0))
-            _assert_same_basis(w_basis, want)
+            _assert_same_basis(
+                w_basis, _t_wide_constrained_basis(sub, constraints[:k]))
 
     def test_incremental_update_cases(self):
         """An all-zero column, a repeated constraint and a pivot column
         that the span already meets with zeros remove no dimension; the
-        other constraints remove one each.  Untouched int 0 tails become
-        Fraction(0), as the rebuild gives them."""
+        other constraints remove one each."""
         t = 5
         gens = [Seq((Fraction(1), Fraction(0), Fraction(2), Fraction(0),
                      Fraction(0)), True),
@@ -404,28 +383,35 @@ class TestConstrainedBasis:
                 Seq((Fraction(0),) * 3 + (Fraction(1), Fraction(0)), True)]
         sub = Subspace.build(LINF, gens)
         assert sub.pivots == (1, 2, 4)
-        assert type(sub.reduced_basis[0].tail_bound) is int
         w_basis, constraints = sub.reduced_basis, []
         for j, dim in ((t, 3), (2, 2), (3, 1), (3, 1), (1, 1), (4, 0)):
             constraints.append(j)
             w_basis = _impose_zeros(w_basis, [j])
             assert len(w_basis) == dim
             _assert_same_basis(
-                w_basis, _constrained_basis(sub, constraints, Fraction(0)))
+                w_basis, _t_wide_constrained_basis(sub, constraints))
 
-    @pytest.mark.parametrize("case", ["untailed", "tailed", "float"])
-    def test_mazur_rebuilds_only_tailed_or_float(self, case):
-        """The Mazur loop updates an untailed exact working subspace, and
-        rebuilds it from the fixture on tailed exact and float fixtures."""
-        t, exact = 40, case != "float"
-        sub = tailed_linf_subspace(12, t, exact=exact)
-        if case == "tailed":
-            sub = Subspace.build(LINF, sub.generators + (
-                geometric_generator(Fraction(1, 2), t, LINF),))
-        assert any(b.tail_bound for b in sub.reduced_basis) == (case == "tailed")
-        with mock.patch("seqlab.linf_construction._constrained_basis",
-                        wraps=_constrained_basis) as rebuild:
-            cert = mazur_basic_sequence(sub, default_eps_seq(4, exact), 4,
-                                        samples=20)
+    @pytest.mark.parametrize("tailed", [False, True],
+                             ids=["untailed", "tailed"])
+    def test_mazur_tails_are_history_free(self, tailed):
+        """Each f_k is sum_i f_k(P_i) b_i over the reduced basis b_i and
+        its pivots P_i, and its tail bound is sum_i |f_k(P_i)| tb(b_i).
+        The tailed fixture is GOLDEN_TAILED's seed 7."""
+        if tailed:
+            obj, depth = _tailed_fixture(7)
+            sub = subspace_from_json(obj)
+        else:
+            sub, depth = tailed_linf_subspace(12, 40), 4
+        basis, pivots = sub.reduced_basis, sub.pivots
+        assert any(b.tail_bound for b in basis) == tailed
+        cert = mazur_basic_sequence(sub, default_eps_seq(depth), depth,
+                                    samples=20)
         assert cert.status == "pass"
-        assert rebuild.call_count == (0 if case == "untailed" else 4)
+        for f_k in cert.f:
+            coeffs = [f_k.at(p) for p in pivots]
+            assert combine(basis, coeffs).coords == f_k.coords
+            want = sum((abs(c) * b.tail_bound for c, b in zip(coeffs, basis)),
+                       Fraction(0))
+            assert f_k.tail_bound == want
+            assert type(f_k.tail_bound) is Fraction
+        assert any(f_k.tail_bound for f_k in cert.f) == tailed

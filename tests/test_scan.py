@@ -1,9 +1,10 @@
 """Integer-row scans against reference implementations on combine/Seq ops.
 
-Exact mode must give the same argmax, sign, prefix sups and ratios as
-the Fraction arithmetic; float mode must give the same bits.  Scans run
-on the family's nonzero columns only, so the families include all-zero
-ones and columns holding only +-0.0.  The Mazur net, evaluated from its
+Scans must give the same argmax, sign, prefix sups and ratios as the
+Fraction arithmetic.  The sup-norm spaces are exact, so the sup-norm
+scans take exact families; the lp basis-constant ratio keeps float ones.
+Scans run on the family's nonzero columns only, so the families include
+all-zero ones and all-zero columns.  The Mazur net, evaluated from its
 point structure, must give the functionals of the dense net it replaced;
 its precomputed pair rows and the running-max basis-constant ratio must
 give the rows and values of verbatim copies of the code they replaced.
@@ -38,6 +39,7 @@ from seqlab.linf_construction import (
     NET_RESOLUTION,
     _ascend_ratio,
     _halving_step,
+    _impose_zeros,
     _net_functionals,
     _scan_frame,
     default_eps_seq,
@@ -114,7 +116,8 @@ def with_zero_columns(families):
 exact_families = st.one_of(exact_family(MIXED_DENOMS),
                            exact_family(DYADIC_DENOMS))
 float_families = st.one_of(float_family(), tied_float_family())
-any_family = with_zero_columns(st.one_of(exact_families, float_families))
+#: the families a sup-norm scan takes: exact, as the sup-norm spaces are
+sup_family = with_zero_columns(exact_families)
 
 
 def eps_entry(with_floats):
@@ -129,9 +132,7 @@ def eps_entry(with_floats):
 
 
 def coefficients(fam, draw_int):
-    if fam[0].exact:
-        return [Fraction(draw_int(-16, 16), 8) for _ in fam]
-    return [draw_int(-16, 16) / 8.0 + draw_int(-9, 9) * 1e-3 for _ in fam]
+    return [Fraction(draw_int(-16, 16), 8) for _ in fam]
 
 
 def same(a, b):
@@ -308,7 +309,7 @@ def ref_net_functionals(fam, exact, rng):
 
 class TestScanHelper:
     @SETTINGS
-    @given(any_family, st.data())
+    @given(sup_family, st.data())
     def test_argmax_and_sign_match_combine(self, fam, data):
         coeffs = coefficients(fam, lambda a, b: data.draw(st.integers(a, b)))
         rows, _, cols = scan_rows(fam)
@@ -322,25 +323,17 @@ class TestScanHelper:
         assert got == ref_argmax_sign(fam, coeffs)
         kept = set(cols)
         assert all(not v for j, v in enumerate(full) if j not in kept)
-        if not fam[0].exact:  # float rows give combine's bits
-            assert all(same(a, full[j]) for a, j in zip(y, cols))
 
     @SETTINGS
-    @given(any_family, st.data())
+    @given(sup_family, st.data())
     def test_prefix_sups_match_seq_ops(self, fam, data):
         ks = [data.draw(st.integers(-16, 16)) for _ in fam]
         rows, denom, _ = scan_rows(fam)
-        sups = scan_prefix_sups(rows, ks if fam[0].exact
-                                else [float(k) for k in ks])
-        if fam[0].exact:
-            sups = [Fraction(v, denom) for v in sups]
-            ref = ref_prefix_sups(fam, [Fraction(k) for k in ks])
-        else:
-            ref = ref_prefix_sups(fam, [float(k) for k in ks])
-        assert all(same(a, b) for a, b in zip(sups, ref))
+        sups = [Fraction(v, denom) for v in scan_prefix_sups(rows, ks)]
+        assert sups == ref_prefix_sups(fam, [Fraction(k) for k in ks])
 
     @SETTINGS
-    @given(any_family)
+    @given(sup_family)
     def test_rows_over_common_denominator(self, fam):
         rows, denom, cols = scan_rows(fam)
         t = len(fam[0])
@@ -350,41 +343,34 @@ class TestScanHelper:
         for f, row in zip(fam, rows):
             assert len(row) == len(cols)
             assert all(not f.coords[j] for j in range(t) if j not in cols)
-            if f.exact:
-                assert all(isinstance(v, int) for v in row)
-                assert [Fraction(v, denom) for v in row] == \
-                    [f.at(j + 1) for j in cols]
-                # dropped zeros have denominator 1: D is that of all columns
-                assert denom == math.lcm(*(v.denominator for g in fam
-                                           for v in g.coords))
-            else:
-                assert denom == 1
-                assert all(same(v, f.at(j + 1)) for v, j in zip(row, cols))
+            assert all(isinstance(v, int) for v in row)
+            assert [Fraction(v, denom) for v in row] == \
+                [f.at(j + 1) for j in cols]
+            # dropped zeros have denominator 1: D is that of all columns
+            assert denom == math.lcm(*(v.denominator for g in fam
+                                       for v in g.coords))
 
 
 # -- the call sites ----------------------------------------------------------
 
 class TestScanCallSites:
     @SETTINGS
-    @given(any_family, st.integers(0, 10 ** 6), st.data())
+    @given(sup_family, st.integers(0, 10 ** 6), st.data())
     def test_sample_basis_inequality(self, fam, seed, data):
-        exact = fam[0].exact
-        one = Fraction(1) if exact else 1.0
-        with_floats = not exact or data.draw(st.booleans())
-        eps = [one] + data.draw(st.lists(eps_entry(with_floats),
-                                         min_size=len(fam), max_size=len(fam)))
-        got = sample_basis_inequality(fam, eps, len(fam), exact, seed, 12)
+        # a float eps enters as the rational it is, as mazur_basic_sequence
+        # passes it
+        eps = [Fraction(1)] + [Fraction(e) for e in data.draw(st.lists(
+            eps_entry(data.draw(st.booleans())), min_size=len(fam),
+            max_size=len(fam)))]
+        got = sample_basis_inequality(fam, eps, len(fam), seed, 12)
         # reference: the same rng stream through Seq ops
         rng = random.Random(seed ^ 0x5EED)
-        cumprod = [one]
+        cumprod = [Fraction(1)]
         for i in range(1, len(fam)):
             cumprod.append(cumprod[-1] * (1 + eps[i - 1]))
         worst = {}
         for _ in range(12):
-            if exact:
-                cs = [Fraction(rng.randint(-16, 16), 16) for _ in fam]
-            else:
-                cs = [rng.uniform(-1.0, 1.0) for _ in fam]
+            cs = [Fraction(rng.randint(-16, 16), 16) for _ in fam]
             if all(c == 0 for c in cs):
                 continue
             norms = ref_prefix_sups(fam, cs)
@@ -394,37 +380,33 @@ class TestScanCallSites:
                          - norms[lo - 1])
                     if (lo, hi) not in worst or m < worst[(lo, hi)]:
                         worst[(lo, hi)] = m
-        assert got.keys() == worst.keys()
-        # a float eps makes the later margins floats, in exact mode too
-        assert all(type(got[k]) is type(worst[k]) and same(got[k], worst[k])
-                   for k in got)
+        assert got == worst
+        assert all(type(v) is Fraction for v in got.values())
 
     @SETTINGS
-    @given(any_family, st.integers(0, 1000))
+    @given(sup_family, st.integers(0, 1000))
     def test_basis_constant_lower_bound(self, fam, seed):
         got = basis_constant_lower_bound(fam, LINF, trials=12, seed=seed)
         assert same(got, ref_basis_constant(fam, 12, seed))
 
     @SETTINGS
-    @given(any_family, st.data())
+    @given(sup_family, st.data())
     def test_ascend_ratio_returns_the_seq_ops_vector(self, fam, data):
         s = data.draw(st.integers(1, len(fam[0])))
-        exact = fam[0].exact
-        ratio, vec = _ascend_ratio(fam, s, exact)
-        ref_ratio, ref_vec = ref_ascend_ratio(fam, s, exact)
+        ratio, vec = _ascend_ratio(fam, s)
+        ref_ratio, ref_vec = ref_ascend_ratio(fam, s, True)
         assert same(ratio, ref_ratio)
         assert vec.exact == ref_vec.exact
         assert all(same(a, b) for a, b in zip(vec.coords, ref_vec.coords))
         assert same(vec.tail_bound, ref_vec.tail_bound)
 
     @settings(max_examples=150, deadline=None)
-    @given(any_family, st.integers(0, 10 ** 6))
+    @given(sup_family, st.integers(0, 10 ** 6))
     def test_net_matches_the_dense_reference(self, fam, seed):
-        exact = fam[0].exact
         rng, ref_rng = random.Random(seed), random.Random(seed)
         rows, _, cols = scan_rows(fam)
-        got = list(_net_functionals(rows, cols, exact, rng))
-        assert got == ref_net_functionals(fam, exact, ref_rng)
+        got = list(_net_functionals(rows, cols, rng))
+        assert got == ref_net_functionals(fam, True, ref_rng)
         assert rng.getstate() == ref_rng.getstate()  # the same draws
 
     @SETTINGS
@@ -581,9 +563,9 @@ def old_basis_constant_lower_bound(family, space, trials=200, seed=0):
     return best
 
 
-def recorded_net(net, rows, cols, exact, seed):
-    """(functionals, rows as bits, rng state after) of one net: every row
-    handed to _first_max is recorded."""
+def recorded_net(net, rows, cols, seed):
+    """(functionals, rows, rng state after) of one net: every row handed
+    to _first_max is recorded."""
     seen = []
     first_max = linf_construction._first_max
 
@@ -594,23 +576,27 @@ def recorded_net(net, rows, cols, exact, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linf_construction, "_first_max", record)
         rng = random.Random(seed)
-        points = list(net(rows, cols, exact, rng))
+        points = list(net(rows, cols, rng))
     return points, seen, rng.getstate()
 
 
+def fr(*vals):
+    return Seq(tuple(Fraction(v) for v in vals), True, Fraction(0))
+
+
 ZERO_ROWS = [
-    [Seq((0.0, -0.0, 0.0), False, 0.0), Seq((-0.0, -0.0, -0.0), False, 0.0)],
+    [fr(0, 0, 0), fr(0, 0, 0)],
     [Seq((Fraction(0),) * 4, True, Fraction(0))] * 2,
-    [Seq((0.5, -0.0, 0.25), False, 0.0), Seq((-0.0, 0.0, -0.0), False, 0.0)],
+    [fr(Fraction(1, 2), 0, Fraction(1, 4)), fr(0, 0, 0)],
 ]
-ONE_VECTOR = [[Seq((0.0, -0.5, 0.25), False, 0.0)],
+ONE_VECTOR = [[fr(0, Fraction(-1, 2), Fraction(1, 4))],
               [Seq((Fraction(0), Fraction(3, 7)), True, Fraction(0))],
-              [Seq((0.0, -0.0), False, 0.0)]]
+              [fr(0, 0)]]
 
 
 class TestPrecomputedNetAndRatio:
     @settings(max_examples=150, deadline=None)
-    @given(any_family, st.integers(0, 10 ** 6))
+    @given(sup_family, st.integers(0, 10 ** 6))
     def test_net_yields_the_scan_combine_points(self, fam, seed):
         self.check_net(fam, seed)
 
@@ -621,12 +607,15 @@ class TestPrecomputedNetAndRatio:
 
     def check_net(self, fam, seed):
         rows, _, cols = scan_rows(fam)
-        exact = fam[0].exact
-        assert recorded_net(_net_functionals, rows, cols, exact, seed) == \
-            recorded_net(old_net_functionals, rows, cols, exact, seed)
+
+        def old_net(rows, cols, rng):
+            return old_net_functionals(rows, cols, True, rng)
+
+        assert recorded_net(_net_functionals, rows, cols, seed) == \
+            recorded_net(old_net, rows, cols, seed)
 
     @settings(max_examples=100, deadline=None)
-    @given(any_family, st.integers(0, 1000))
+    @given(sup_family, st.integers(0, 1000))
     def test_ratio_under_the_sup_norm(self, fam, seed):
         got = basis_constant_lower_bound(fam, LINF, trials=12, seed=seed)
         want = old_basis_constant_lower_bound(fam, LINF, trials=12, seed=seed)
@@ -760,15 +749,13 @@ def tied_exact_family(draw):
 
 @st.composite
 def search_family(draw):
-    """A family with zero columns, ties and, sometimes, zero-sup rows; in
-    exact mode sometimes its RREF basis, the Mazur working subspace."""
-    fam = draw(with_zero_columns(st.one_of(
-        exact_families, tied_exact_family(), float_families)))
-    zero = (Fraction(0),) if fam[0].exact else (0.0, -0.0)
+    """A family with zero columns, ties and, sometimes, zero-sup rows;
+    sometimes its RREF basis, the Mazur working subspace."""
+    fam = draw(with_zero_columns(st.one_of(exact_families,
+                                           tied_exact_family())))
     for i in draw(st.lists(st.integers(0, len(fam) - 1), max_size=2)):
-        fam[i] = Seq(tuple(draw(st.sampled_from(zero)) for _ in fam[i].coords),
-                     fam[i].exact, fam[i].tail_bound)
-    if fam[0].exact and draw(st.booleans()):
+        fam[i] = Seq((Fraction(0),) * len(fam[i]), True, fam[i].tail_bound)
+    if draw(st.booleans()):
         fam = list(Subspace.build(LINF, fam).reduced_basis) or fam
     return fam
 
@@ -798,62 +785,61 @@ class TestOneFrameSearch:
     @settings(max_examples=150, deadline=None)
     @given(search_family())
     def test_ascent_matches_the_scan_combine_copy(self, fam):
-        exact, frame = fam[0].exact, _scan_frame(fam)
+        frame = _scan_frame(fam)
         for s in range(1, len(fam[0]) + 1):  # dropped columns included
-            want_r, want_vec = old_ascend_ratio(fam, s, exact)
-            for got_r, got_vec in (_ascend_ratio(fam, s, exact),
-                                   _ascend_ratio(fam, s, exact, frame)):
+            want_r, want_vec = old_ascend_ratio(fam, s, True)
+            for got_r, got_vec in (_ascend_ratio(fam, s),
+                                   _ascend_ratio(fam, s, frame)):
                 assert same(got_r, want_r) and type(got_r) is type(want_r)
                 assert same_vector(got_vec, want_vec)
 
     @pytest.mark.parametrize("fam", ZERO_ROWS + ONE_VECTOR + [ROUNDED_TIE])
     def test_ascent_on_edge_families(self, fam):
         for s in range(1, len(fam[0]) + 1):
-            got_r, got_vec = _ascend_ratio(fam, s, fam[0].exact)
-            want_r, want_vec = old_ascend_ratio(fam, s, fam[0].exact)
+            got_r, got_vec = _ascend_ratio(fam, s)
+            want_r, want_vec = old_ascend_ratio(fam, s, True)
             assert same(got_r, want_r) and type(got_r) is type(want_r)
             assert same_vector(got_vec, want_vec)
 
     @settings(max_examples=150, deadline=None)
     @given(search_family(), st.data())
     def test_search_matches_the_coordinate_loop(self, fam, data):
-        exact, t_len = fam[0].exact, len(fam[0])
+        t_len = len(fam[0])
         start = data.draw(st.integers(1, t_len))
         skip = set(data.draw(st.lists(st.integers(1, t_len), max_size=3)))
-        got = _halving_step(fam, start, skip, exact)
-        want = old_search(fam, start, t_len, skip, exact)
+        got = _halving_step(fam, start, skip)
+        want = old_search(fam, start, t_len, skip, True)
         assert (got is None) == (want is None)
         if got is not None:
             assert got[0] == want[0] and same_vector(got[1], want[1])
 
-    def test_search_accepts_a_float_ratio_within_eta_of_half(self):
-        """A basis vector whose ratio is within eta below 1/2 is the
-        float witness itself, not an ascent's combination."""
-        fam = [Seq((0.5 - DEFAULT_ETA / 10, 1.0, 0.0), False, 0.0),
-               Seq((0.25, 0.0, 1.0), False, 0.0)]
-        got = _halving_step(fam, 1, set(), False)
-        assert got == old_search(fam, 1, 3, set(), False) == (1, fam[0])
+    def test_search_accepts_a_ratio_of_exactly_half(self):
+        """A basis vector whose ratio is 1/2 is the witness itself; one
+        whose ratio is 2^-60 below 1/2 is not, and the ascent finds a
+        combination instead."""
+        half = [fr(Fraction(1, 2), 1, 0), fr(Fraction(1, 4), 0, 1)]
+        assert _halving_step(half, 1, set()) == (1, half[0])
+        below = [fr(Fraction(1, 2) - Fraction(1, 2 ** 60), 1, 0), half[1]]
+        s, vec = _halving_step(below, 1, set())
+        assert s == 1 and vec != below[0]
+        assert 2 * abs(vec.at(1)) >= norm(vec, LINF)
+        for fam in (half, below):
+            got = _halving_step(fam, 1, set())
+            want = old_search(fam, 1, 3, set(), True)
+            assert got[0] == want[0] and same_vector(got[1], want[1])
 
-    @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_search_on_fleet_working_subspaces(self, tmp_path, mode):
+    def test_search_on_fleet_working_subspaces(self, tmp_path):
         """Every step of a fleet fixture's Mazur run, the net's
         constraints included, against the replaced loop."""
         sub = fleet_basis(tmp_path, 0)
-        if mode == "float":
-            sub = Subspace.build(LINF, [Seq(tuple(map(float, g.coords)),
-                                            False, 0.0)
-                                        for g in sub.generators])
-        cert = mazur_basic_sequence(sub, default_eps_seq(16, sub.exact), 16,
-                                    samples=60)
+        cert = mazur_basic_sequence(sub, default_eps_seq(16), 16, samples=60)
         zeroed, start = list(cert.zeroed_coords), 1
         for n_k in cert.n:
             before = zeroed[:zeroed.index(n_k)]  # the earlier steps' zeros
-            w_basis = linf_construction._constrained_basis(
-                sub, before, zero_tol(sub.exact)) if before \
-                else sub.reduced_basis
-            got = _halving_step(w_basis, start, set(before), sub.exact)
+            w_basis = _impose_zeros(sub.reduced_basis, before)
+            got = _halving_step(w_basis, start, set(before))
             want = old_search(w_basis, start, sub.truncation, set(before),
-                              sub.exact)
+                              True)
             assert got[0] == want[0] == n_k
             assert same_vector(got[1], want[1])
             start = n_k + 1
@@ -877,12 +863,12 @@ class TestOneFrameCounts:
             calls["scan_rows"] += 1
             return scan(family)
 
-        def counting_ascend(w_basis, s, exact, frame=None):
+        def counting_ascend(w_basis, s, frame=None):
             assert frame is not None
             d = len(w_basis)  # the pair phase and at least one pass
             pairs = sum(min(4, d) - a - 1 for a in range(min(3, d)))
             calls["considered"] += 8 * (pairs + d)
-            return ascend(w_basis, s, exact, frame)
+            return ascend(w_basis, s, frame)
 
         def counting_build(*args):
             calls["built"] += 1
@@ -892,7 +878,7 @@ class TestOneFrameCounts:
         monkeypatch.setattr(linf_construction, "_ascend_ratio",
                             counting_ascend)
         monkeypatch.setattr(linf_construction, "_step_row", counting_build)
-        cert = mazur_basic_sequence(sub, default_eps_seq(depth, True), depth,
+        cert = mazur_basic_sequence(sub, default_eps_seq(depth), depth,
                                     samples=60)
         assert len(cert.n) == depth
         assert calls["scan_rows"] == depth + (depth - 1) + 1

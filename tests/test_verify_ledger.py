@@ -2,9 +2,10 @@
 certificates: the ledger it recomputes is the stored one, and tampers
 inside nested levels, with the stored ledger, the derived fields, the
 top-level status or the lengths of the stored lists are all
-rejected.  ``evaluate`` skips a zero tolerance only where the sum is
-provably the right-hand side, so it must agree with a verbatim copy of
-the evaluator that always added it."""
+rejected.  A sup-norm certificate holding floats is malformed, since the
+sup-norm spaces are exact only.  ``evaluate`` skips a zero tolerance
+only where the sum is provably the right-hand side, so it must agree
+with a verbatim copy of the evaluator that always added it."""
 import copy
 import json
 import math
@@ -22,7 +23,7 @@ from seqlab.linf_construction import mazur_checks
 from seqlab.verify import _Ctx, verify_certificate
 
 
-def _linf_doc(tmp_path, mode):
+def _linf_doc(tmp_path):
     fix = tmp_path / "linf.json"
     fix.write_text(json.dumps({
         "space": {"kind": "linf"}, "truncation": 120,
@@ -30,7 +31,7 @@ def _linf_doc(tmp_path, mode):
     doc, code = run_scenario(Scenario(
         name="linf", pipeline="linf", fixture=str(fix),
         params={"depth": 4, "stab_tol": Fraction(1, 10 ** 6),
-                "samples": 60, "mode": mode, "seed": 11}))
+                "samples": 60, "mode": "auto", "seed": 11}))
     assert code == 0
     return json.loads(dumps_canonical(doc))
 
@@ -38,8 +39,7 @@ def _linf_doc(tmp_path, mode):
 @pytest.fixture(scope="module")
 def docs(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("ledger")
-    out = {"exact": _linf_doc(tmp_path, "auto"),
-           "float": _linf_doc(tmp_path, "float")}
+    out = {"exact": _linf_doc(tmp_path)}
     fix = tmp_path / "l2.json"
     fix.write_text(json.dumps({
         "space": {"kind": "lp", "p": 2}, "truncation": 200,
@@ -99,9 +99,9 @@ def _verify_cli(tmp_path, doc):
     return main(["verify", str(path)])
 
 
-@pytest.mark.parametrize("mode", ["exact", "float"])
-def test_recomputed_ledger_equals_stored(docs, mode, monkeypatch):
-    doc = docs[mode]
+@pytest.mark.parametrize("kind", ["exact", "density_c0"])
+def test_recomputed_ledger_equals_stored(docs, kind, monkeypatch):
+    doc = docs[kind]
     runs = {}
     real_run = _Ctx.run
 
@@ -111,8 +111,12 @@ def test_recomputed_ledger_equals_stored(docs, mode, monkeypatch):
 
     monkeypatch.setattr(_Ctx, "run", spy)
     assert verify_certificate(doc).ok
-    levels = {"": doc, "cascade.": doc["cascade"],
-              "cascade.mazur.": doc["cascade"]["source"]}
+    prefix, sup = ("", doc) if kind == "exact" else \
+        ("sup_zeroing.", doc["sup_zeroing"])
+    levels = {prefix: sup, prefix + "cascade.": sup["cascade"],
+              prefix + "cascade.mazur.": sup["cascade"]["source"]}
+    if kind == "density_c0":
+        levels[""] = doc
     assert set(runs) == set(levels)
     for prefix, level in levels.items():
         fields = ("key", "where", "passed", "lhs")
@@ -290,7 +294,7 @@ def test_c0_density_selected_and_distance_tamper_fails(docs, tmp_path):
     assert _verify_cli(tmp_path, doc) == 1
 
 
-@pytest.mark.parametrize("kind", ["exact", "float", "zeroing", "dominance",
+@pytest.mark.parametrize("kind", ["exact", "zeroing", "dominance",
                                   "density_lp", "density_c0", "lineability",
                                   "witness"])
 def test_flipped_status_is_rejected(docs, kind, tmp_path):
@@ -396,13 +400,17 @@ def _raise_l1_at_s2(by):
     return tamper
 
 
+def _set_l1_at_s2(doc):
+    doc["l"][0]["coords"][doc["s"][1] - 1] = "3/10"
+
+
 def _set_even_1_at_s1(doc):
     doc["even_family"][0]["coords"][doc["forbidden"][0] - 1] = 0.5
 
 
 @pytest.mark.parametrize("kind,tamper,eta_levels,zero_check", [
     ("zeroing", _raise_l1_at_s2(0.5), ["dominance.", ""], "zero_pattern[1,2]"),
-    ("float", _raise_l1_at_s2(0.3), ["cascade.mazur.", "cascade.", ""],
+    ("exact", _set_l1_at_s2, ["cascade.mazur.", "cascade.", ""],
      "zero_pattern[1,2]"),
     ("witness", _set_even_1_at_s1, [""], "forbidden_coordinate_max[1,"),
 ], ids=["zeroing", "sup_zeroing", "witness"])
@@ -419,6 +427,68 @@ def test_stored_eta_does_not_loosen_zero_checks(docs, kind, tamper,
     assert [label for label in labels if label.endswith("eta_matches")] == [
         prefix + "eta_matches" for prefix in eta_levels]
     assert any(label.startswith(zero_check) for label in labels), labels
+    assert _verify_cli(tmp_path, doc) == 1
+
+
+def _to_floats(node):
+    """The certificate with every exact vector and every eps_seq entry
+    turned into floats, as a float-mode run wrote them."""
+    if isinstance(node, list):
+        return [_to_floats(child) for child in node]
+    if not isinstance(node, dict):
+        return node
+    if node.get("exact") is True and "coords" in node:
+        return {"coords": [float(Fraction(v)) for v in node["coords"]],
+                "exact": False,
+                "tail_bound": float(Fraction(node["tail_bound"]))}
+    out = {key: _to_floats(child) for key, child in node.items()}
+    if "eps_seq" in out:
+        out["eps_seq"] = [float(Fraction(e)) for e in out["eps_seq"]]
+    return out
+
+
+def _float_f(doc):
+    """Only the Mazur family as floats."""
+    mazur = doc["cascade"]["source"]
+    mazur["f"] = _to_floats(mazur["f"])
+
+
+def _float_eps(doc):
+    """Only the Mazur eps sequence as floats."""
+    mazur = doc["cascade"]["source"]
+    mazur["eps_seq"] = [float(Fraction(e)) for e in mazur["eps_seq"]]
+
+
+def _float_h(doc):
+    """Only the cascade h as floats."""
+    doc["cascade"]["h"] = _to_floats(doc["cascade"]["h"])
+
+
+def _float_l(doc):
+    """Only the final family l as floats."""
+    doc["l"] = _to_floats(doc["l"])
+
+
+def _float_result(doc):
+    """Only the c0 density result as floats."""
+    doc["result"] = _to_floats(doc["result"])
+
+
+@pytest.mark.parametrize("kind,float_part", [
+    ("exact", None), ("exact", _float_f), ("exact", _float_eps),
+    ("exact", _float_h), ("exact", _float_l), ("density_c0", None),
+    ("density_c0", _float_result)],
+    ids=["sup_zeroing", "mazur_f", "mazur_eps_seq", "cascade_h",
+         "sup_zeroing_l", "density_c0", "density_c0_result"])
+def test_float_sup_norm_certificate_is_refused(docs, kind, float_part,
+                                               tmp_path):
+    doc = copy.deepcopy(docs[kind])
+    if float_part is None:
+        doc = _to_floats(doc)
+    else:
+        float_part(doc)
+    with pytest.raises(MalformedCertificate, match="exact only"):
+        verify_certificate(doc)
     assert _verify_cli(tmp_path, doc) == 1
 
 
