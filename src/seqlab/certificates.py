@@ -1,10 +1,12 @@
 """Check entries and certificate JSON plumbing.
 
 Every pipeline emits a certificate: raw construction data (indices and
-full coordinate vectors) plus a ledger of checks, one per proof
-inequality.  A check stores both sides of the inequality as evaluated
-at construction time; the verifier recomputes both sides from the raw
-coordinates and never trusts the cached values.
+full coordinate vectors) plus, per ledger, a summary of its checks (one
+check per proof inequality): the number of checks under each key and
+the key and where of each failed check (``ledger_summary``).  No value
+of a check is stored; the verifier recomputes every check from the raw
+coordinates and compares the summary of what it recomputed with the
+stored one.
 
 Serialization is canonical (sorted keys, tight separators, trailing
 newline) so identical runs are byte-identical.
@@ -17,13 +19,15 @@ import tempfile
 from dataclasses import dataclass
 
 from .errors import MalformedCertificate
-from .scalar import Scalar, scalar_to_json
+from .scalar import Scalar
 
 #: Version 2: the lp zeroing Q ledger holds certified bounds, not samples.
 #: Version 3: a witness holds an exact parity ledger, not samples, and no
 #: seed or odd family; lp certificates store each vector once (no f_tilde,
 #: g or sigma in dominance, no vectors or norm_upper in q_op).
-SCHEMA_VERSION = 3
+#: Version 4: every ledger is stored as its summary, not entry by entry;
+#: the mazur, cascade and sup_zeroing levels store no eta.
+SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -42,17 +46,6 @@ class Check:
     rhs: Scalar
     tol: Scalar
     passed: bool
-
-    def as_json(self) -> dict:
-        return {
-            "key": self.key,
-            "where": list(self.where),
-            "lhs": scalar_to_json(self.lhs),
-            "rel": self.rel,
-            "rhs": scalar_to_json(self.rhs),
-            "tol": scalar_to_json(self.tol),
-            "passed": self.passed,
-        }
 
 
 def evaluate(lhs: Scalar, rel: str, rhs: Scalar, tol: Scalar) -> bool:
@@ -82,6 +75,19 @@ def make_check(key: str, where, lhs: Scalar, rel: str, rhs: Scalar,
                tol: Scalar = 0) -> Check:
     return Check(key, tuple(where), lhs, rel, rhs, tol,
                  evaluate(lhs, rel, rhs, tol))
+
+
+def ledger_summary(checks) -> dict:
+    """A ledger as certificates store it: {"counts": the number of checks
+    under each key, "failed": [key, where] of each failed check, in
+    ledger order}.  A passing ledger has no failed entry."""
+    counts: dict = {}
+    failed = []
+    for c in checks:
+        counts[c.key] = counts.get(c.key, 0) + 1
+        if not c.passed:
+            failed.append([c.key, list(c.where)])
+    return {"counts": counts, "failed": failed}
 
 
 def dumps_canonical(doc: dict) -> str:

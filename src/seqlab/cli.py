@@ -149,9 +149,8 @@ def run_scenario(scenario: Scenario) -> tuple[dict, int]:
             else:
                 raise ConfigError(
                     "density: fixture space must be lp (finite p) or c0")
-            status = ("pass" if all(c["passed"] for c in report["checks"])
-                      else "fail")
-            return _document("density", report, status, sub, scenario.name)
+            return _document("density", report, report["status"], sub,
+                             scenario.name)
 
         raise ConfigError(f"unknown pipeline {scenario.pipeline!r}")
     except ModelLimitError as exc:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .certificates import SCHEMA_VERSION, checks_status, make_check
+from .certificates import (SCHEMA_VERSION, checks_status, ledger_summary,
+                           make_check)
 from .core import AmbientSpace, Seq
 from .errors import ConfigError, DuplicateRatio, RatioOutOfRange
 from .scalar import scalar_to_json
@@ -190,16 +191,6 @@ def lineability_checks(comb: GeometricCombination, zeros: Sequence[int],
     return checks
 
 
-def _entry_json(check) -> dict:
-    """A ledger entry as lineability certificates write it: integer sides
-    stay JSON integers, rationals become "num/den" strings."""
-    out = check.as_json()
-    for side in ("lhs", "rhs", "tol"):
-        if isinstance(getattr(check, side), int):
-            out[side] = getattr(check, side)
-    return out
-
-
 def lineability_certificate(comb: GeometricCombination, t: int,
                             scan_upto: int = 500) -> dict:
     """JSON-ready certificate: {ratios, coeffs, zero_set, certified bound, rank}."""
@@ -220,6 +211,6 @@ def lineability_certificate(comb: GeometricCombination, t: int,
             "certified_bound": m,
             "rank": rank,
         },
-        "checks": [_entry_json(c) for c in checks],
+        "checks": ledger_summary(checks),
         "status": checks_status(checks),
     }

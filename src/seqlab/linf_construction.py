@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .certificates import checks_status, make_check
+from .certificates import checks_status, ledger_summary, make_check
 from .core import (
     AmbientSpace,
     Seq,
@@ -61,7 +61,7 @@ from .errors import (
     SearchExhausted,
 )
 from .lp_construction import basis_constant_lower_bound
-from .scalar import DEFAULT_ETA, Scalar, scalar_to_json
+from .scalar import Scalar, scalar_to_json
 
 DEFAULT_STAB_TOL = Fraction(1, 10 ** 6)
 #: grid step of the Mazur net's coefficients
@@ -116,10 +116,9 @@ class MazurCert:
             "net_sizes": list(self.net_sizes),
             "functionals": [[[j, s] for (j, s) in step] for step in self.functionals],
             "zeroed_coords": list(self.zeroed_coords),
-            "eta": DEFAULT_ETA,
             "seed": self.seed,
             "samples": self.samples,
-            "checks": [c.as_json() for c in self.checks],
+            "checks": ledger_summary(self.checks),
         }
 
 
@@ -161,8 +160,7 @@ class CascadeCert:
             "stab_tol": scalar_to_json(self.stab_tol),
             "final_pool": list(self.final_pool),
             "source": self.source.as_json(),
-            "eta": DEFAULT_ETA,
-            "checks": [c.as_json() for c in self.checks],
+            "checks": ledger_summary(self.checks),
         }
 
 
@@ -198,10 +196,9 @@ class SupZeroingCert:
             "l": [v.as_json() for v in self.l],
             "residuals": [scalar_to_json(r) for r in self.residuals],
             "cascade": self.cascade.as_json(),
-            "eta": DEFAULT_ETA,
             "seed": self.seed,
             "true_k_condition_verified": self.true_k_condition_verified,
-            "checks": [c.as_json() for c in self.checks],
+            "checks": ledger_summary(self.checks),
         }
 
 

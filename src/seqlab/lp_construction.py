@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .certificates import checks_status, make_check
+from .certificates import checks_status, ledger_summary, make_check
 from .core import (
     AmbientSpace,
     Seq,
@@ -100,7 +100,7 @@ class DominanceCert:
             "f": [v.as_json() for v in self.f],
             "delta": _scalar_json(self.delta),
             "eta": DEFAULT_ETA,
-            "checks": [c.as_json() for c in self.checks],
+            "checks": ledger_summary(self.checks),
         }
 
 
@@ -135,7 +135,7 @@ class PerturbationCert:
             "p_norm": _scalar_json(self.p_norm),
             "delta": _scalar_json(self.delta),
             "ok": self.ok,
-            "checks": [c.as_json() for c in self.checks],
+            "checks": ledger_summary(self.checks),
         }
         for name in ("t_norm_bound", "basis_bound", "q_norm_bound",
                      "q_norm_bound_tight"):
@@ -184,7 +184,7 @@ class ZeroingCert:
             "perturbation": self.perturbation.as_json(),
             "q_op": None if self.q_op is None else self.q_op.as_json(),
             "eta": DEFAULT_ETA,
-            "checks": [c.as_json() for c in self.checks],
+            "checks": ledger_summary(self.checks),
         }
 
 

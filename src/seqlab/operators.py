@@ -8,7 +8,8 @@ coordinates of the stored psi_j and v_j once, as the rationals they are:
 * the Gram matrix G_jk = psi_j(x_k) of a family, exactly;
 * |P v_k - v_k|_p <= sum_j |G_jk - delta_jk| |v_j|_p (0 exactly when
   G = I), and ||P^2 - P|| <= sum_k |psi_k|_{p'} |P v_k - v_k|_p, since
-  P^2 - P = sum_k psi_k (x) (P v_k - v_k);
+  P^2 - P = sum_k psi_k (x) (P v_k - v_k); each norm here is an upper
+  bound (``_norm_up``), the sums are exact and a float result rounds up;
 * Schur's test on the majorant K_il = sum_j |v_j(i)| |psi_j(l)| of P,
   weighted by F = sum_j |v_j|: ||P||_{p->p} <= alpha^{1-1/p} beta^{1/p},
   alpha = max_i sum_j |v_j(i)| a_j / F(i), a_j = sum_l |psi_j(l)| F(l),
@@ -27,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .core import AmbientSpace, Seq, norm
+from .core import AmbientSpace, Seq, norm, norm_pth_power
 from .errors import ConfigError
 from .scalar import Scalar
 
@@ -41,9 +42,24 @@ def _nonzeros(x: Seq) -> dict:
     return {i: Fraction(coords[i]) for i in x.nonzero}
 
 
-def _norm(coords: dict, space: AmbientSpace) -> Scalar:
-    """The space's norm of the vector with these nonzero coordinates."""
-    return norm(Seq(tuple(coords.values()), True), space)
+def _norm_up(coords: dict, space: AmbientSpace) -> Fraction:
+    """An upper bound on the space's norm of the vector with these
+    nonzero coordinates: the norm itself for the sup norm and l1; else
+    the least float r with r^q >= sum_i |x_i|^q, q = floor(p), since
+    |x|_p <= |x|_q for q <= p; and |x|_1 when that sum is out of range."""
+    x = Seq(tuple(coords.values()), True)
+    q = 1 if space.is_sup else math.floor(space.p)
+    if q == 1:
+        return norm(x, space if space.is_sup else AmbientSpace.lp(1))
+    total = norm_pth_power(x, AmbientSpace.lp(q))
+    if not total:
+        return total
+    if not _LO < total < _HI:
+        return norm(x, AmbientSpace.lp(1))
+    r = float(total) ** (1 / q)
+    while Fraction(r) ** q < total:
+        r = math.nextafter(r, math.inf)
+    return Fraction(r)
 
 
 def _schur_weights(mass: dict, y) -> tuple[Optional[dict], Fraction]:
@@ -96,8 +112,9 @@ class ProjectionOp:
     def exact(self) -> bool:
         return all(v.exact for v in self.vectors + self.functionals)
 
-    def _out(self, value) -> Scalar:
-        return value if self.exact else float(value)
+    def _out(self, value: Fraction) -> Scalar:
+        """An exact bound, rounded up to a float unless P is exact."""
+        return value if self.exact else _up(value)
 
     def apply(self, x: Seq) -> Seq:
         if not self.vectors:
@@ -132,27 +149,34 @@ class ProjectionOp:
         return [[sum((psi[i] * v for i, v in x.items() if i in psi), Fraction(0))
                  for x in xs] for psi in psis]
 
-    def combination_bounds(self, columns: Sequence[Sequence]) -> list:
-        """sum_j |c_j| |v_j|_p for each coefficient column c: an upper
-        bound on |sum_j c_j v_j|_p by the triangle inequality."""
-        norms = [_norm(v, self.space) for v in self._supports[0]]
-        return [self._out(sum(abs(c) * n for c, n in zip(col, norms,
-                                                          strict=True)))
+    def _column_bounds(self, columns: Sequence[Sequence]) -> list:
+        """sum_j |c_j| |v_j|_p for each coefficient column c, exactly on
+        upper bounds of the norms: an upper bound on |sum_j c_j v_j|_p by
+        the triangle inequality."""
+        norms = [_norm_up(v, self.space) for v in self._supports[0]]
+        return [sum((abs(c) * n for c, n in zip(col, norms, strict=True)),
+                    Fraction(0))
                 for col in columns]
+
+    def combination_bounds(self, columns: Sequence[Sequence]) -> list:
+        """Upper bounds on |sum_j c_j v_j|_p for each coefficient column
+        c, rounded up to floats unless P is exact."""
+        return [self._out(b) for b in self._column_bounds(columns)]
 
     def fixed_point_bounds(self) -> tuple[list, Scalar]:
         """Upper bounds on |P v_k - v_k|_p for each own vector v_k, from
         the Gram matrix, and on ||P^2 - P|| from those."""
         gram = self.gram()
         m = len(gram)
-        fixes = self.combination_bounds(
+        fixes = self._column_bounds(
             [[gram[j][k] - (1 if j == k else 0) for j in range(m)]
              for k in range(m)])
         p = self.space.p
         dual = AmbientSpace.linf() if p == 1 else AmbientSpace.lp(p / (p - 1))
-        idem = sum(_norm(psi, dual) * fix
-                   for psi, fix in zip(self._supports[1], fixes))
-        return fixes, self._out(idem)
+        idem = sum((_norm_up(psi, dual) * fix
+                    for psi, fix in zip(self._supports[1], fixes)),
+                   Fraction(0))
+        return [self._out(fix) for fix in fixes], self._out(idem)
 
     def certified_norm_bound(self) -> Scalar:
         """Schur's test bound alpha^{1-1/p} beta^{1/p} on ||P||_{p->p},

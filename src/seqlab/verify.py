@@ -10,20 +10,24 @@ and as a failed inequality.
 Every certificate kind has one ledger, defined beside its constructor
 (``lineability``, ``lp_construction``, ``linf_construction``,
 ``witnesses``): verify runs the constructors' check functions on the
-stored data, compares each recomputed ledger (key, where, passed) with
-the stored one, and checks the stored top-level status against the
-recomputed ledgers.  What verify adds itself ties stored data (depths,
-derived fields, markers, counts) to a rerun.  A certificate stores each
+stored data, so it recomputes every check.  A certificate stores each
+ledger as its summary (``certificates.ledger_summary``: the check count
+per key and the key and where of each failed check); verify compares
+the summary of each recomputed ledger with the stored one, and checks
+the stored top-level status against the recomputed ledgers.  What
+verify adds itself ties stored data (depths, derived fields, markers,
+counts) to a rerun.  A certificate stores each
 vector once: verify rebuilds the lp windows and blocks from f and the
 cuts as the emitter does, and the projection Q from its stored
 functionals and f.
 
 Tolerances: every zero and rerun tolerance is 0 in exact mode and
 ``scalar.DEFAULT_ETA`` in float mode, never a value read from the
-certificate; each level that stores eta is checked against the constant
-(eta_matches).  The sup-norm spaces are exact only: a mazur, cascade,
-sup_zeroing or c0 density certificate holding a float vector at any
-level, or a float eps_seq entry, is malformed.
+certificate; each lp and witness level stores eta, which is checked
+against the constant (eta_matches).  The sup-norm levels store none,
+since every sup-norm tolerance is 0.  The sup-norm spaces are exact
+only: a mazur, cascade, sup_zeroing or c0 density certificate holding a
+float vector at any level, or a float eps_seq entry, is malformed.
 
 Numerics: each stored lp vector is lifted once to an exact rational
 ``Seq`` (a stored double is a rational), so ``core.norm`` and
@@ -45,7 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .certificates import evaluate, load_certificate, require
+from .certificates import evaluate, ledger_summary, load_certificate, require
 from .core import AmbientSpace, Seq, norm
 from .errors import MalformedCertificate, SeqLabError
 from .lineability import (GeometricCombination, certified_zero_bound,
@@ -107,16 +111,15 @@ class _Ctx:
         for c in checks:
             self.check(c.key, c.where, c.lhs, c.rel, c.rhs, c.tol)
 
-    def ledger(self, stored: list, checks) -> None:
-        """Run a recomputed ledger, then compare it entry by entry (key,
-        where, passed) with the stored one: stored_ledger_matches."""
+    def ledger(self, stored: dict, checks) -> None:
+        """Run a recomputed ledger, then compare its summary (counts per
+        key, failed key and where) with the stored one:
+        stored_ledger_matches."""
         self.run(checks)
-        stored = [(c["key"], list(c["where"]), c["passed"]) for c in stored]
-        recomputed = [(c.key, list(c.where), c.passed) for c in checks]
         self.check("stored_ledger_matches", [],
-                   0 if stored == recomputed else 1, "eq", 0, 0)
+                   0 if stored == ledger_summary(checks) else 1, "eq", 0, 0)
         self.levels.append((self.prefix, all(c.passed for c in checks),
-                            all(passed for _, _, passed in stored)))
+                            not stored["failed"]))
 
 
 def _scalar(v):
@@ -317,9 +320,7 @@ def _exact(seqs: list, what: str) -> list:
 
 
 def _verify_mazur(doc, ctx: _Ctx):
-    require(doc, "space", "eps_seq", "n", "f", "eta", "seed", "samples",
-            "checks")
-    _check_eta(doc, ctx)
+    require(doc, "space", "eps_seq", "n", "f", "seed", "samples", "checks")
     eps_seq = [_scalar(e) for e in doc["eps_seq"]]
     n_list = [int(v) for v in doc["n"]]
     fs = _exact([Seq.from_json(o) for o in doc["f"]], "the Mazur family f")
@@ -339,9 +340,8 @@ def _verify_mazur(doc, ctx: _Ctx):
 
 def _verify_cascade(doc, ctx: _Ctx):
     require(doc, "space", "m", "t", "h", "case_trace", "limit_estimates",
-            "stab_tol", "final_pool", "source", "eta", "checks")
+            "stab_tol", "final_pool", "source", "checks")
     fs, n_list = _verify_mazur(doc["source"], ctx.sub("mazur"))
-    _check_eta(doc, ctx)
     stab_tol = _scalar(doc["stab_tol"])
     m = [int(v) for v in doc["m"]]
     t_list = [int(v) for v in doc["t"]]
@@ -373,9 +373,8 @@ def _verify_cascade(doc, ctx: _Ctx):
 
 def _verify_sup_zeroing(doc, ctx: _Ctx):
     require(doc, "space", "eps", "k_est", "depth", "s", "l", "residuals",
-            "cascade", "eta", "checks")
+            "cascade", "checks")
     hs, t_list = _verify_cascade(doc["cascade"], ctx.sub("cascade"))
-    _check_eta(doc, ctx)
     s_list = [int(v) for v in doc["s"]]
     ls = _exact([Seq.from_json(o) for o in doc["l"]], "the family l")
     depth_ok = int(doc["depth"]) == len(s_list) == len(ls)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import linalg
-from .certificates import checks_status, make_check
+from .certificates import checks_status, ledger_summary, make_check
 from .core import AmbientSpace, Seq, Subspace, norm
 from .errors import (
     ConfigError,
@@ -74,7 +74,7 @@ class WitnessCert:
                            "grows with depth/truncation; cardinality claims "
                            "about generator systems are outside the "
                            "truncated model"),
-            "checks": [c.as_json() for c in self.checks],
+            "checks": ledger_summary(self.checks),
         }
 
 
@@ -195,10 +195,11 @@ def complement_split(cert: ZeroingCert) -> tuple[ProjectionOp, dict]:
         "even_fixed_max_residual": max(fixes),
         "odd_killed_max_norm": max(kills),
         "q_norm_bound": scalar_to_json(cert.perturbation.q_norm_bound),
-        "checks": [make_check(key, [], value, "abs_le", 0, fix_tol).as_json()
-                   for key, value in (("split_idempotent", idem),
-                                      ("split_fixes_even", max(fixes)),
-                                      ("split_kills_odd", max(kills)))],
+        "checks": ledger_summary(
+            [make_check(key, [], value, "abs_le", 0, fix_tol)
+             for key, value in (("split_idempotent", idem),
+                                ("split_fixes_even", max(fixes)),
+                                ("split_kills_odd", max(kills)))]),
     }
     return split, report
 
@@ -248,7 +249,8 @@ def density_repair_lp(subspace: Subspace, f: Seq, eps,
     f/|f| and rescale its first corrected vector.
 
     Output is within |f| * eps/2 of f and vanishes at the construction's
-    later markers."""
+    later markers.  The report is the density certificate's body: its
+    ledger summary and status are those of the density ledger alone."""
     if norm(f, subspace.ambient) == 0:
         raise ZeroVector("density repair needs a nonzero f")
     scale = norm(f, subspace.ambient)
@@ -267,7 +269,8 @@ def density_repair_lp(subspace: Subspace, f: Seq, eps,
         "zeroing": cert.as_json(),
         "result": result.as_json(),
         "input": f.as_json(),
-        "checks": [c.as_json() for c in checks],
+        "checks": ledger_summary(checks),
+        "status": checks_status(checks),
     }
     return result, report
 
@@ -283,7 +286,7 @@ def density_repair_c0(subspace: Subspace, f: Seq, eps,
     The output vanishes at every selected marker and moves f by at most
     eps in the sup norm.  Without mazur_cert, the Mazur family takes
     mazur_depth steps (default: well beyond the markers needed) and 60
-    basis-inequality samples."""
+    basis-inequality samples.  The report is as density_repair_lp's."""
     if norm(f, subspace.ambient) == 0:
         raise ZeroVector("density repair needs a nonzero f")
     if not subspace.ambient.is_sup:
@@ -326,7 +329,8 @@ def density_repair_c0(subspace: Subspace, f: Seq, eps,
         "sup_zeroing": cert.as_json(),
         "result": g.as_json(),
         "input": f.as_json(),
-        "checks": [c.as_json() for c in checks],
+        "checks": ledger_summary(checks),
+        "status": checks_status(checks),
     }
     return g, report
 

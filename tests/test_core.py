@@ -594,8 +594,15 @@ class TestKernel:
                 want = [abs(u) for u in x.coords]
                 tail = x.tail_bound
             elif op == "lift":
+                try:
+                    want = [Fraction(u) for u in x.coords]
+                except (OverflowError, ValueError) as exc:
+                    # an add of two huge floats left inf (or NaN), which
+                    # no rational stores: lift refuses it as Fraction does
+                    with pytest.raises(type(exc)):
+                        x.lift()
+                    continue
                 got = x.lift()
-                want = [Fraction(u) for u in x.coords]
                 tail = Fraction(x.tail_bound)
             elif op == "unit":
                 j = data.draw(st.integers(1, n))

@@ -11,6 +11,14 @@ sup-norm spaces are; the float ones went with float mode there.  A
 refactor that changes a digest changed what seqlab emits; it must say
 so and update the digest deliberately.
 
+Schema 4 stores each ledger as its summary (check counts per key, the
+failed key and where) and drops the sup-norm eta.  Putting back each
+ledger entry by entry, as its public ledger function recomputes it from
+the stored data, and the sup-norm eta, gives back the schema-3 bytes of
+every certificate pinned before that change: no vector or other field
+moved.  The lp Q ledger values are recomputed with schema 3's rounding
+to nearest (``_NearestQ``); they round up now.
+
 Schema 3 dropped what verify rebuilds: f_tilde, g and sigma from every
 dominance level, the vectors and norm_upper of q_op (the dominance f and
 the perturbation's q_norm_bound), and it gave the witness an exact
@@ -32,12 +40,32 @@ import pytest
 
 from seqlab.certificates import SCHEMA_VERSION, dumps_canonical
 from seqlab.cli import Scenario, run_scenario
-from seqlab.core import AmbientSpace, Seq, subspace_from_json
+from seqlab.core import AmbientSpace, Seq, norm, subspace_from_json
 from seqlab.errors import SeqLabError
-from seqlab.linf_construction import default_eps_seq, mazur_basic_sequence
-from seqlab.lp_construction import window_blocks
+from seqlab.lineability import GeometricCombination, lineability_checks
+from seqlab.linf_construction import (cascade_checks, default_eps_seq,
+                                      mazur_basic_sequence, mazur_checks,
+                                      sup_zero_recursion, sup_zeroing_checks)
+from seqlab.lp_construction import (dominance_checks, perturbation_checks,
+                                    q_checks, window_blocks, zero_recursion,
+                                    zeroing_checks)
+from seqlab.operators import ProjectionOp
+from seqlab.scalar import parse_scalar, scalar_to_json, zero_tol
+from seqlab.witnesses import (c0_density_checks, lp_density_checks,
+                              witness_checks)
 
 GOLDEN = {
+    "sup_zeroing": "f3e77b8eb183a1bf85cbea07f8209a564753f0c845a3d40dcee5876411420ee0",
+    "density": "4c7ed6d7e0cba370a541cdf6ba1ce5d58d68570af71f110e91d5826e0b64fcf3",
+    "zeroing": "b541d0bdd6d0274ce0eefc9d0d4e7b73a9b4f5d6a22dbb0ff9c58417cd9aa10f",
+    "dominance": "6a874df298a52e972ced945ae88130142675ca444b3f2f099a014ef673349e6e",
+    "density_lp": "ed547c6c1d84c5f45f439198120b6e5548f7fcfe23d427bc2ade7c94bf7f957a",
+    "lineability": "af2ded038f1def1fae760b5e4f37ea96e2f0b228ae80f75f80498992cf4650bc",
+    "witness": "9f5119f378ee97ee328ab0b10def13e99eb54a4bb9e252745f6b3df29fcf0bdf",
+}
+
+#: the schema-3 digests, computed before the schema-4 change
+GOLDEN_SCHEMA_3 = {
     "sup_zeroing": "6c11d615c26e33aa3c076f045459bf3742068f9e919c69d17f02962420b6f985",
     "density": "a11506d1eadce209ddf3fe96f8c3e2a179069f2ec762f26cd8d8485b3a535367",
     "zeroing": "d81841841a342eed6f608aa1fdae7be1840367f818b21d08bd571b6c6dad698a",
@@ -73,7 +101,14 @@ GOLDEN_SCHEMA_1 = {
 #: pin bytes, not soundness: the sampled basis inequality these
 #: certificates pass is not a proof, and a certified Mazur step (exact
 #: norming sets instead of the net) will change them on purpose.
+#: Re-pinned for schema 4; GOLDEN_NET_SCHEMA_3 holds the digests before,
+#: which ``_schema_4_to_3`` gives back.
 GOLDEN_NET = {
+    (2032, "exact"): "34829e7d9a7de17cbf5d74f66501e9048dae139a81c54e2ab626f115cb345ba8",
+    (2002, "exact"): "9caefaa1da91728865a564cc05f9a4c988a752c9c268788c925c5417f9906108",
+}
+
+GOLDEN_NET_SCHEMA_3 = {
     (2032, "exact"): "fde1e2262a14988a34626a24fe03ff9e7c42330f5b9f01807d3ba2e7ad6da69c",
     (2002, "exact"): "6776366dba67c5f70449431007ecdc34a7fa045cd331e6da4a64c4878e9fa789",
 }
@@ -88,13 +123,20 @@ NET_FIXTURES = {2032: ("linf", 42, 4, 17), 2002: ("c0", 40, 5, 16)}
 #: reduced basis: the digests before, computed while every step rebuilt
 #: its working subspace from the reduced basis, were 665d3441... (7) and
 #: cbe97f74... (12).  Two of the six tails of seed 7 and one of the four
-#: of seed 12 fell; the others are equal.
+#: of seed 12 fell; the others are equal.  Re-pinned again for schema 4;
+#: GOLDEN_TAILED_SCHEMA_3 holds the digests before, which
+#: ``_schema_4_to_3`` gives back.
 GOLDEN_TAILED = {
+    7: "267f1baaa16ea0e05709f48018f0f9729f6efd23a5c32d67e26b36adc89da577",
+    12: "a56a7a946905602615295b36b88382a99c2053ed356e01d273c5cb016ea6207e",
+}
+
+GOLDEN_TAILED_SCHEMA_3 = {
     7: "a7a7f19ff92de6466b1c74e1e3aa3f9df3b8bf4ed169cbe2adfbe136aa369803",
     12: "3e125eb29e1537c496c971c4fa20d520305d16d5cf34c1be45e4880753e5135a",
 }
 
-#: the same certificates with every f tail bound removed, computed while
+#: the schema-3 forms with every f tail bound removed, computed while
 #: every step rebuilt its working subspace: the re-pin changed only tails
 GOLDEN_TAILED_UNTAILED = {
     7: "803c050cf566ade5d48b339eca390fc5e8c51ef30c81f64826197a175c00378a",
@@ -179,9 +221,149 @@ def _restore_blocks(dom):
                g=[v.as_json() for v in g])
 
 
+def _scalar(v):
+    return parse_scalar(v, isinstance(v, str))
+
+
+def _entries(checks, int_sides=False):
+    """A ledger as schema 3 stored it, one entry per check; lineability
+    kept integer sides as JSON integers."""
+    out = []
+    for c in checks:
+        entry = {"key": c.key, "where": list(c.where), "rel": c.rel,
+                 "passed": c.passed}
+        for side in ("lhs", "rhs", "tol"):
+            value = getattr(c, side)
+            entry[side] = value if int_sides and isinstance(value, int) \
+                else scalar_to_json(value)
+        out.append(entry)
+    return out
+
+
+def _mazur_to_3(doc):
+    fs = [Seq.from_json(o) for o in doc["f"]]
+    doc.update(eta=1e-09, checks=_entries(mazur_checks(
+        fs, doc["n"], [Fraction(e) for e in doc["eps_seq"]], doc["seed"],
+        doc["samples"])))
+    return fs
+
+
+def _sup_zeroing_to_3(doc):
+    cascade = doc["cascade"]
+    _mazur_to_3(cascade["source"])
+    hs = [Seq.from_json(o) for o in cascade["h"]]
+    cases = [entry["case"] for entry in cascade["case_trace"]]
+    cascade.update(eta=1e-09, checks=_entries(cascade_checks(
+        hs, cascade["t"], cases, Fraction(cascade["stab_tol"]))))
+    h_by_t = dict(zip(cascade["t"], hs))
+    ls = [Seq.from_json(o) for o in doc["l"]]
+    checks = sup_zeroing_checks(h_by_t, doc["s"],
+                                sup_zero_recursion(h_by_t, doc["s"]), ls,
+                                Fraction(doc["eps"]), Fraction(doc["k_est"]))
+    doc.update(eta=1e-09, checks=_entries(checks))
+    return ls
+
+
+def _dominance_to_3(doc):
+    space = AmbientSpace.from_json(doc["space"])
+    f = [Seq.from_json(o) for o in doc["f"]]
+    _, f_tilde, g = window_blocks(f, doc["n_cut"], space)
+    checks, _ = dominance_checks(space, doc["s"], doc["n_cut"], f, f_tilde, g,
+                                 _scalar(doc["eps"]), zero_tol(f[0].exact))
+    doc["checks"] = _entries(checks)
+    return f
+
+
+class _NearestQ(ProjectionOp):
+    """Q with fixed_point_bounds as schema 3 computed them: each norm,
+    product and sum rounded to nearest.  They round up now, which moved
+    the Q ledger values of the lp density certificate, whose G is not I."""
+
+    def fixed_point_bounds(self):
+        vecs, psis = self._supports
+        gram = self.gram()
+        norms = [norm(Seq(tuple(v.values()), True), self.space) for v in vecs]
+        fixes = [float(sum(abs(gram[j][k] - (1 if j == k else 0)) * norms[j]
+                           for j in range(len(gram))))
+                 for k in range(len(gram))]
+        p = self.space.p
+        dual = AmbientSpace.linf() if p == 1 else AmbientSpace.lp(p / (p - 1))
+        idem = sum(norm(Seq(tuple(psi.values()), True), dual) * fix
+                   for psi, fix in zip(psis, fixes))
+        return fixes, float(idem)
+
+
+def _zeroing_to_3(doc):
+    f = _dominance_to_3(doc["dominance"])
+    pert = doc["perturbation"]
+    checks, _ = perturbation_checks(_scalar(pert["k_const"]),
+                                    _scalar(pert["p_norm"]),
+                                    _scalar(pert["delta"]))
+    pert["checks"] = _entries(checks)
+    space = AmbientSpace.from_json(doc["space"])
+    ls = [Seq.from_json(o) for o in doc["l"]]
+    q_bound = _scalar(pert["q_norm_bound"])
+    checks = zeroing_checks(space, doc["s"], zero_recursion(f, doc["s"]), ls,
+                            _scalar(doc["eps"]), q_bound, zero_tol(ls[0].exact))
+    psi = tuple(Seq.from_json(o) for o in doc["q_op"]["functionals"])
+    checks += q_checks(_NearestQ(psi, tuple(f), space), q_bound)
+    doc["checks"] = _entries(checks)
+
+
+def _density_to_3(doc):
+    f = Seq.from_json(doc["input"])
+    result = Seq.from_json(doc["result"])
+    tol = zero_tol(result.exact)
+    if doc["path"] == "c0":
+        nested = doc["sup_zeroing"]
+        _sup_zeroing_to_3(nested)
+        checks = c0_density_checks(AmbientSpace.c0(), f, result, nested["s"],
+                                   Fraction(doc["eps"]), tol)[0]
+    else:
+        nested = doc["zeroing"]
+        _zeroing_to_3(nested)
+        checks = lp_density_checks(AmbientSpace.from_json(nested["space"]), f,
+                                   result, doc["forbidden"],
+                                   _scalar(doc["eps"]), tol)[0]
+    doc["checks"] = _entries(checks)
+
+
+def _lineability_to_3(doc):
+    data = doc["data"]
+    comb = GeometricCombination(tuple(Fraction(r) for r in data["ratios"]),
+                                tuple(Fraction(c) for c in data["coeffs"]))
+    doc["checks"] = _entries(lineability_checks(
+        comb, data["zero_set"], data["certified_bound"], data["rank"],
+        doc["params"]["scan_upto"]), int_sides=True)
+
+
+def _witness_to_3(doc):
+    even = [Seq.from_json(o) for o in doc["even_family"]]
+    doc["checks"] = _entries(witness_checks(
+        even, doc["forbidden"], len(doc["s"]),
+        zero_tol(even[0].exact))[0])
+
+
+_TO_3 = {"mazur": _mazur_to_3, "sup_zeroing": _sup_zeroing_to_3,
+         "dominance": _dominance_to_3, "zeroing": _zeroing_to_3,
+         "density": _density_to_3, "lineability": _lineability_to_3,
+         "witness": _witness_to_3}
+
+
+def _schema_4_to_3(doc):
+    """The schema-3 form: each ledger summary replaced by the entries of
+    the ledger its public function recomputes, and the sup-norm eta put
+    back.  A Mazur certificate body, which has no kind, maps too."""
+    if "schema_version" in doc:
+        assert doc.pop("schema_version") == SCHEMA_VERSION == 4
+        doc["schema_version"] = 3
+    _TO_3[doc.get("kind", "mazur")](doc)
+    return doc
+
+
 def _schema_3_to_2(doc):
     """The schema-2 form: the dropped copies re-inserted, rebuilt."""
-    assert doc.pop("schema_version") == SCHEMA_VERSION == 3
+    assert doc.pop("schema_version") == 3
     doc["schema_version"] = 2
     if doc["kind"] == "dominance":
         _restore_blocks(doc)
@@ -211,16 +393,23 @@ def test_certificate_bytes_pinned(name, tmp_path):
     assert _digest(doc) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCHEMA_3))
+def test_schema_4_maps_back_to_schema_3_bytes(name, tmp_path):
+    doc, _ = run_scenario(_scenario(name, tmp_path))
+    assert _digest(_schema_4_to_3(doc)) == GOLDEN_SCHEMA_3[name]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCHEMA_2))
 def test_schema_3_maps_back_to_schema_2_bytes(name, tmp_path):
     doc, _ = run_scenario(_scenario(name, tmp_path))
-    assert _digest(_schema_3_to_2(doc)) == GOLDEN_SCHEMA_2[name]
+    assert _digest(_schema_3_to_2(_schema_4_to_3(doc))) \
+        == GOLDEN_SCHEMA_2[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCHEMA_1))
 def test_schema_2_maps_back_to_schema_1_bytes(name, tmp_path):
     doc, _ = run_scenario(_scenario(name, tmp_path))
-    assert _digest(_schema_2_to_1(_schema_3_to_2(doc))) \
+    assert _digest(_schema_2_to_1(_schema_3_to_2(_schema_4_to_3(doc)))) \
         == GOLDEN_SCHEMA_1[name]
 
 
@@ -251,7 +440,9 @@ def test_net_adding_constraints_bytes_pinned(seed, mode):
     cert = mazur_basic_sequence(sub, default_eps_seq(depth), depth,
                                 seed=0, samples=60)
     assert len(cert.zeroed_coords) - len(cert.n) == added
-    assert _digest(cert.as_json()) == GOLDEN_NET[(seed, mode)]
+    doc = cert.as_json()
+    assert _digest(doc) == GOLDEN_NET[(seed, mode)]
+    assert _digest(_schema_4_to_3(doc)) == GOLDEN_NET_SCHEMA_3[(seed, mode)]
 
 
 def _tailed_fixture(seed):
@@ -294,6 +485,7 @@ def test_tailed_mazur_bytes_pinned(seed):
                                 seed=0, samples=60)
     doc = cert.as_json()
     assert _digest(doc) == GOLDEN_TAILED[seed]
+    assert _digest(_schema_4_to_3(doc)) == GOLDEN_TAILED_SCHEMA_3[seed]
     for f in doc["f"]:
         del f["tail_bound"]
     assert _digest(doc) == GOLDEN_TAILED_UNTAILED[seed]

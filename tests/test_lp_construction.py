@@ -25,6 +25,7 @@ from seqlab.lp_construction import (
     construct_zeroed_sequence,
     small_perturbation_cert,
 )
+from seqlab.operators import ProjectionOp
 from conftest import fixture_json, unit_subspace
 
 L2 = AmbientSpace.lp(2)
@@ -165,6 +166,31 @@ class TestBlockProjection:
         gram = p_op.gram()
         assert p_op.certified_norm_bound() >= max(abs(gram[k][k])
                                                   for k in range(len(g)))
+
+    def test_fixed_point_bounds_round_up_when_g_is_not_i(self):
+        """G = psi(v) = 0.18, so |P v - v|_2 = 0.82 |v|_2 exactly.  Each
+        float bound squared is at least the exact sum of squares it bounds;
+        rounded to nearest, the fixed-point bound fell below it."""
+        v, psi = (0.2, 0.7, 0.6), (0.25, 0.1, 0.1)
+        op = ProjectionOp((Seq(psi, False, 0.0),), (Seq(v, False, 0.0),), L2)
+        [[g]] = op.gram()
+        assert g != 1
+        [fix], idem = op.fixed_point_bounds()
+        fix_sq = sum(((g - 1) * Fraction(x)) ** 2 for x in v)
+        assert Fraction(fix) ** 2 >= fix_sq
+        assert Fraction(idem) ** 2 >= sum(Fraction(y) ** 2 for y in psi) * fix_sq
+
+    @pytest.mark.parametrize("p", [Fraction(2), Fraction(5, 2)])
+    def test_combination_bounds_round_up(self, p):
+        """sum_j |c_j| |v_j|_p rounded up; at p = 5/2 from |v_j|_2, which is
+        not smaller.  So bound^2 >= sum_i (c v(i))^2 for one vector."""
+        v = (0.2, 0.7, 0.6)
+        op = ProjectionOp((Seq((0.25, 0.1, 0.1), False, 0.0),),
+                          (Seq(v, False, 0.0),), AmbientSpace.lp(p))
+        for c in (Fraction(-41, 50), Fraction(1, 3), Fraction(7, 5)):
+            [bound] = op.combination_bounds([[c]])
+            assert Fraction(bound) ** 2 >= sum((c * Fraction(x)) ** 2
+                                               for x in v)
 
     def test_window_validation(self):
         g = [Seq.unit(1, 4, True), Seq.unit(2, 4, True)]

@@ -1,6 +1,7 @@
 """verify on sup-norm, lp, density, lineability and witness
-certificates: the ledger it recomputes is the stored one, and tampers
-inside nested levels, with the stored ledger, the derived fields, the
+certificates: the ledgers it recomputes are the ones the emitter
+summarised, and tampers inside nested levels, with a stored ledger
+summary (a count, a failed entry or a key), the derived fields, the
 top-level status or the lengths of the stored lists are all
 rejected.  A sup-norm certificate holding floats is malformed, since the
 sup-norm spaces are exact only.  ``evaluate`` skips a zero tolerance
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqlab.certificates import dumps_canonical, evaluate
+from seqlab import lineability, linf_construction, lp_construction, witnesses
+from seqlab.certificates import dumps_canonical, evaluate, ledger_summary
 from seqlab.cli import Scenario, main, run_scenario
 from seqlab.core import Seq
 from seqlab.errors import MalformedCertificate
@@ -23,39 +25,30 @@ from seqlab.linf_construction import mazur_checks
 from seqlab.verify import _Ctx, verify_certificate
 
 
-def _linf_doc(tmp_path):
-    fix = tmp_path / "linf.json"
-    fix.write_text(json.dumps({
+def _scenarios(tmp_path) -> dict:
+    """The scenarios of the certificates under test, by kind; the
+    witness is emitted from the zeroing certificate."""
+    linf = tmp_path / "linf.json"
+    linf.write_text(json.dumps({
         "space": {"kind": "linf"}, "truncation": 120,
         "generators": [{"kind": "unit", "index": j} for j in range(1, 25)]}))
-    doc, code = run_scenario(Scenario(
-        name="linf", pipeline="linf", fixture=str(fix),
-        params={"depth": 4, "stab_tol": Fraction(1, 10 ** 6),
-                "samples": 60, "mode": "auto", "seed": 11}))
-    assert code == 0
-    return json.loads(dumps_canonical(doc))
-
-
-@pytest.fixture(scope="module")
-def docs(tmp_path_factory):
-    tmp_path = tmp_path_factory.mktemp("ledger")
-    out = {"exact": _linf_doc(tmp_path)}
-    fix = tmp_path / "l2.json"
-    fix.write_text(json.dumps({
+    l2 = tmp_path / "l2.json"
+    l2.write_text(json.dumps({
         "space": {"kind": "lp", "p": 2}, "truncation": 200,
         "generators": [{"kind": "unit", "index": j} for j in range(1, 21)]}))
-    doc, code = run_scenario(Scenario(
-        name="l2", pipeline="lp", fixture=str(fix),
-        params={"eps": Fraction(1, 600), "depth": 4, "mode": "auto",
-                "space": None, "p": None}))
-    assert code == 0
-    out["zeroing"] = json.loads(dumps_canonical(doc))
     lp = {"eps": Fraction(1, 100), "depth": 4, "mode": "auto", "seed": 11,
           "stab_tol": Fraction(1, 10 ** 6)}
-    scenarios = {
-        "dominance": Scenario(name="l2", pipeline="lp", fixture=str(fix),
+    return {
+        "exact": Scenario(name="linf", pipeline="linf", fixture=str(linf),
+                          params={"depth": 4, "stab_tol": Fraction(1, 10 ** 6),
+                                  "samples": 60, "mode": "auto", "seed": 11}),
+        "zeroing": Scenario(name="l2", pipeline="lp", fixture=str(l2),
+                            params={"eps": Fraction(1, 600), "depth": 4,
+                                    "mode": "auto", "space": None,
+                                    "p": None}),
+        "dominance": Scenario(name="l2", pipeline="lp", fixture=str(l2),
                               params=dict(lp, space=None, p=None)),
-        "density_lp": Scenario(name="l2", pipeline="density", fixture=str(fix),
+        "density_lp": Scenario(name="l2", pipeline="density", fixture=str(l2),
                                params=dict(lp, coeffs=[Fraction(1)] + [
                                    Fraction((-1) ** j, 10000 * 2 ** j)
                                    for j in range(1, 20)])),
@@ -68,16 +61,23 @@ def docs(tmp_path_factory):
             "coeffs": [Fraction(-2), Fraction(1)],
             "truncation": 256, "scan": 500}),
     }
-    for key, scenario in scenarios.items():
-        doc, code = run_scenario(scenario)
-        assert code == 0, key
-        out[key] = json.loads(dumps_canonical(doc))
+
+
+def _emit(scenario) -> dict:
+    doc, code = run_scenario(scenario)
+    assert code == 0, scenario
+    return json.loads(dumps_canonical(doc))
+
+
+@pytest.fixture(scope="module")
+def docs(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("ledger")
+    out = {kind: _emit(scenario)
+           for kind, scenario in _scenarios(tmp_path).items()}
     src = tmp_path / "zeroing.json"
     src.write_text(dumps_canonical(out["zeroing"]))
-    doc, code = run_scenario(Scenario(name="w", pipeline="witness",
-                                      params={"cert": str(src)}))
-    assert code == 0
-    out["witness"] = json.loads(dumps_canonical(doc))
+    out["witness"] = _emit(Scenario(name="w", pipeline="witness",
+                                    params={"cert": str(src)}))
     return out
 
 
@@ -99,31 +99,57 @@ def _verify_cli(tmp_path, doc):
     return main(["verify", str(path)])
 
 
-@pytest.mark.parametrize("kind", ["exact", "density_c0"])
-def test_recomputed_ledger_equals_stored(docs, kind, monkeypatch):
-    doc = docs[kind]
-    runs = {}
+def _emit_spied(monkeypatch, tmp_path, kind):
+    """docs[kind] emitted again, and every check list the emitter
+    summarised, in the order it summarised them."""
+    emitted = []
+
+    def spy(checks):
+        emitted.append(list(checks))
+        return ledger_summary(checks)
+
+    with monkeypatch.context() as patch:
+        for module in (lineability, linf_construction, lp_construction,
+                       witnesses):
+            patch.setattr(module, "ledger_summary", spy)
+        doc = _emit(_scenarios(tmp_path)[kind])
+    return doc, emitted
+
+
+def _spy_runs(monkeypatch):
+    """verify's recomputed ledgers, in the order it runs them: (prefix,
+    checks)."""
+    runs = []
     real_run = _Ctx.run
 
     def spy(self, checks):
-        runs[self.prefix] = list(checks)
+        runs.append((self.prefix, list(checks)))
         real_run(self, checks)
 
     monkeypatch.setattr(_Ctx, "run", spy)
+    return runs
+
+
+@pytest.mark.parametrize("kind", ["exact", "density_c0"])
+def test_recomputed_ledger_equals_stored(docs, kind, monkeypatch,
+                                          tmp_path):
+    # every check verify recomputes is the emitter's, field by field
+    # (key, where, lhs, rel, rhs, tol, passed), and each stored summary
+    # is the summary of that list
+    doc, emitted = _emit_spied(monkeypatch, tmp_path, kind)
+    assert doc == docs[kind]
+    runs = _spy_runs(monkeypatch)
     assert verify_certificate(doc).ok
-    prefix, sup = ("", doc) if kind == "exact" else \
-        ("sup_zeroing.", doc["sup_zeroing"])
-    levels = {prefix: sup, prefix + "cascade.": sup["cascade"],
-              prefix + "cascade.mazur.": sup["cascade"]["source"]}
+    sup = doc if kind == "exact" else doc["sup_zeroing"]
+    levels = [sup["cascade"]["source"], sup["cascade"], sup]
+    prefixes = ["cascade.mazur.", "cascade.", ""]
     if kind == "density_c0":
-        levels[""] = doc
-    assert set(runs) == set(levels)
-    for prefix, level in levels.items():
-        fields = ("key", "where", "passed", "lhs")
-        recomputed = [{f: c.as_json()[f] for f in fields}
-                      for c in runs[prefix]]
-        stored = [{f: c[f] for f in fields} for c in level["checks"]]
-        assert recomputed == stored, prefix
+        levels.append(doc)
+        prefixes = ["sup_zeroing." + p for p in prefixes] + [""]
+    assert [prefix for prefix, _ in runs] == prefixes
+    assert [checks for _, checks in runs] == emitted
+    for level, (prefix, checks) in zip(levels, runs):
+        assert level["checks"] == ledger_summary(checks), prefix
 
 
 def _tamper_mazur_f(doc):
@@ -157,16 +183,95 @@ def test_nested_tamper_detected(docs, tamper):
                           "stored_ledger_matches"}
 
 
+def _fail_every_key(ledger):
+    """The stored summary claims a failed check under every key."""
+    ledger["failed"] = [[key, []] for key in sorted(ledger["counts"])]
+
+
 def test_stored_ledger_all_failed_is_rejected(docs):
     doc = copy.deepcopy(docs["exact"])
     for level in (doc, doc["cascade"], doc["cascade"]["source"]):
-        for check in level["checks"]:
-            check["passed"] = False
+        _fail_every_key(level["checks"])
     report = verify_certificate(doc)
     assert not report.ok
     assert [f.split(":")[0] for f in report.failures] == [
         "cascade.mazur.stored_ledger_matches",
         "cascade.stored_ledger_matches", "stored_ledger_matches"]
+
+
+def _bump_count(ledger):
+    key = sorted(ledger["counts"])[0]
+    ledger["counts"][key] += 1
+
+
+def _add_failed(ledger):
+    ledger["failed"].append([sorted(ledger["counts"])[-1], [1]])
+
+
+def _drop_key(ledger):
+    del ledger["counts"][sorted(ledger["counts"])[0]]
+
+
+def _add_key(ledger):
+    ledger["counts"]["not_a_check"] = 1
+
+
+@pytest.mark.parametrize("tamper", [_bump_count, _add_failed, _drop_key,
+                                    _add_key])
+@pytest.mark.parametrize("kind,path,prefix", [
+    ("exact", (), ""),
+    ("exact", ("cascade",), "cascade."),
+    ("exact", ("cascade", "source"), "cascade.mazur."),
+    ("zeroing", ("perturbation",), "perturbation."),
+    ("density_lp", (), ""),
+    ("density_c0", ("sup_zeroing",), "sup_zeroing."),
+    ("lineability", (), ""),
+    ("witness", (), ""),
+], ids=["sup_zeroing", "cascade", "mazur", "perturbation", "density_lp",
+        "density_c0", "lineability", "witness"])
+def test_tampered_summary_is_rejected(docs, tamper, kind, path, prefix,
+                                      tmp_path):
+    doc = copy.deepcopy(docs[kind])
+    node = doc
+    for part in path:
+        node = node[part]
+    tamper(node["checks"])
+    report = verify_certificate(doc)
+    assert [f.split(":")[0] for f in report.failures] == [
+        prefix + "stored_ledger_matches"]
+    assert _verify_cli(tmp_path, doc) == 1
+
+
+@pytest.fixture
+def failing_exact(docs, monkeypatch):
+    """docs["exact"] with l_2(s_1) = 1/10, which really fails a
+    zero_pattern check, and stores that faithfully: the summary of the
+    recomputed ledger and a "fail" status."""
+    doc = copy.deepcopy(docs["exact"])
+    _tamper_l(doc)
+    with monkeypatch.context() as patch:
+        runs = _spy_runs(patch)
+        verify_certificate(doc)
+    [checks] = [checks for prefix, checks in runs if prefix == ""]
+    doc.update(checks=ledger_summary(checks), status="fail")
+    return doc
+
+
+def test_really_failing_check_is_named_first(failing_exact, tmp_path):
+    assert failing_exact["checks"]["failed"] == [["zero_pattern", [2, 1]]]
+    report = verify_certificate(failing_exact)
+    assert [f.split(":")[0] for f in report.failures] == [
+        "zero_pattern[2,1]", "l_matches_recursion[2]"]
+    assert _verify_cli(tmp_path, failing_exact) == 1
+
+
+def test_failed_entry_removed_is_rejected(failing_exact, tmp_path):
+    failing_exact["checks"]["failed"].clear()
+    report = verify_certificate(failing_exact)
+    assert [f.split(":")[0] for f in report.failures] == [
+        "zero_pattern[2,1]", "stored_ledger_matches",
+        "l_matches_recursion[2]"]
+    assert _verify_cli(tmp_path, failing_exact) == 1
 
 
 @pytest.mark.parametrize("kind", ["exact", "zeroing"])
@@ -203,41 +308,29 @@ def test_length_mismatch_is_malformed(docs, path, tmp_path):
     assert _verify_cli(tmp_path, doc) == 1
 
 
-def _spy_ledgers(monkeypatch):
-    runs = {}
-    real_run = _Ctx.run
-
-    def spy(self, checks):
-        runs[self.prefix] = list(checks)
-        real_run(self, checks)
-
-    monkeypatch.setattr(_Ctx, "run", spy)
-    return runs
-
-
-def test_lp_recomputed_ledger_equals_stored(docs, monkeypatch):
+def test_lp_recomputed_ledger_equals_stored(docs, monkeypatch, tmp_path):
     # verify's lp norms are exact p-th-power sums on the lifted vectors,
     # so lhs may differ from the emitter's float values in the last bits;
     # key, where and passed may not
-    doc = docs["zeroing"]
-    runs = _spy_ledgers(monkeypatch)
+    doc, emitted = _emit_spied(monkeypatch, tmp_path, "zeroing")
+    assert doc == docs["zeroing"]
+    runs = _spy_runs(monkeypatch)
     assert verify_certificate(doc).ok
     levels = {"": doc, "dominance.": doc["dominance"],
               "perturbation.": doc["perturbation"]}
-    assert set(runs) == set(levels)
-    for prefix, level in levels.items():
-        fields = ("key", "where", "passed")
-        recomputed = [{f: c.as_json()[f] for f in fields}
-                      for c in runs[prefix]]
-        stored = [{f: c[f] for f in fields} for c in level["checks"]]
-        assert recomputed == stored, prefix
+    assert [prefix for prefix, _ in runs] == [
+        "dominance.", "perturbation.", ""]
+    fields = ("key", "where", "passed")
+    for (prefix, checks), want in zip(runs, emitted, strict=True):
+        assert [[getattr(c, f) for f in fields] for c in checks] == \
+            [[getattr(c, f) for f in fields] for c in want], prefix
+        assert levels[prefix]["checks"] == ledger_summary(checks), prefix
 
 
 def test_lp_stored_ledger_all_failed_is_rejected(docs):
     doc = copy.deepcopy(docs["zeroing"])
     for level in (doc, doc["dominance"], doc["perturbation"]):
-        for check in level["checks"]:
-            check["passed"] = False
+        _fail_every_key(level["checks"])
     report = verify_certificate(doc)
     assert [f.split(":")[0] for f in report.failures] == [
         "dominance.stored_ledger_matches",
@@ -246,10 +339,10 @@ def test_lp_stored_ledger_all_failed_is_rejected(docs):
 
 def test_lp_flipped_transfer_bound_is_rejected(docs, tmp_path):
     doc = copy.deepcopy(docs["zeroing"])
-    [entry] = [c for c in doc["perturbation"]["checks"]
-               if c["key"] == "transfer_bound_le_2"]
-    assert entry["passed"]
-    entry["passed"] = False
+    ledger = doc["perturbation"]["checks"]
+    assert ledger["counts"]["transfer_bound_le_2"] == 1
+    assert ledger["failed"] == []
+    ledger["failed"].append(["transfer_bound_le_2", []])
     report = verify_certificate(doc)
     assert [f.split(":")[0] for f in report.failures] == [
         "perturbation.stored_ledger_matches"]
@@ -344,12 +437,15 @@ def test_q_op_tamper_is_rejected(docs, tamper, key, tmp_path):
 
 
 def _flip_first_witness_check(doc):
-    doc["checks"][0]["passed"] = not doc["checks"][0]["passed"]
+    """The stored summary marks the forbidden-coordinate check failed."""
+    doc["checks"]["failed"].append(
+        ["forbidden_coordinate_max", [1, doc["forbidden"][0]]])
 
 
 @pytest.mark.parametrize("tamper,keys", [
-    # the exact max over no markers is 0 at no entry
-    (_set(("forbidden",), []), ["stored_ledger_matches", "forbidden_matches",
+    # the exact max over no markers is 0, and passes: the summary stores
+    # no where of a passing check, so only the derived fields differ
+    (_set(("forbidden",), []), ["forbidden_matches",
                                 "samples_checked_matches"]),
     (_set(("s",), [1, 2]), ["even_rank_half_depth", "stored_ledger_matches",
                             "forbidden_matches"]),
@@ -375,7 +471,7 @@ def test_mazur_eps_seq_out_of_range_is_rejected(docs, tmp_path):
     checks = mazur_checks([Seq.from_json(o) for o in mazur["f"]], mazur["n"],
                           [Fraction(e) for e in mazur["eps_seq"]],
                           mazur["seed"], mazur["samples"])
-    mazur["checks"] = [c.as_json() for c in checks]
+    mazur["checks"] = ledger_summary(checks)
     report = verify_certificate(doc)
     assert [f.split(":")[0] for f in report.failures] == [
         "cascade.mazur.eps_seq_range"]
@@ -400,7 +496,12 @@ def _raise_l1_at_s2(by):
     return tamper
 
 
-def _set_l1_at_s2(doc):
+def _set_l1_at_s2_with_eta(doc):
+    """The sup-norm levels store no eta: put one back at each, as schema 3
+    stored it, then break l_1's zero at s_2."""
+    for level in (doc, doc["cascade"], doc["cascade"]["source"]):
+        assert "eta" not in level
+        level["eta"] = 0.6
     doc["l"][0]["coords"][doc["s"][1] - 1] = "3/10"
 
 
@@ -410,8 +511,8 @@ def _set_even_1_at_s1(doc):
 
 @pytest.mark.parametrize("kind,tamper,eta_levels,zero_check", [
     ("zeroing", _raise_l1_at_s2(0.5), ["dominance.", ""], "zero_pattern[1,2]"),
-    ("exact", _set_l1_at_s2, ["cascade.mazur.", "cascade.", ""],
-     "zero_pattern[1,2]"),
+    # verify reads no sup-norm eta, so there is no eta_matches to fail
+    ("exact", _set_l1_at_s2_with_eta, [], "zero_pattern[1,2]"),
     ("witness", _set_even_1_at_s1, [""], "forbidden_coordinate_max[1,"),
 ], ids=["zeroing", "sup_zeroing", "witness"])
 def test_stored_eta_does_not_loosen_zero_checks(docs, kind, tamper,
